@@ -146,12 +146,6 @@ Options::Options(std::string tool_name, int &argc, char **argv)
         error = "--shard-policy: expected round-robin, "
                 "least-loaded, or model-affinity";
     }
-    std::string engine_s = take(argc, argv, "engine");
-    if (!engine_s.empty()
-        && !parseEngine(engine_s, config.system.engine)
-        && error.empty()) {
-        error = "--engine: expected ticked or event";
-    }
     std::string faults_s = take(argc, argv, "faults");
     if (!faults_s.empty()) {
         std::string err;
@@ -230,12 +224,7 @@ Options::Options(std::string tool_name, int &argc, char **argv)
         }
     }
 
-    // Keep the one system tree consistent (serving runs under it)
-    // and slave every per-model engine knob to system.engine —
-    // `--engine` is the single selector (DESIGN.md §15).
-    config.system.noc.engine = config.system.engine;
-    config.system.dram.engine = config.system.engine;
-    config.core.engine = config.system.engine;
+    // Keep the one system tree consistent (serving runs under it).
     config.serving.system = config.system;
     if (seedSet)
         config.serving.seed = seedVal;
@@ -295,7 +284,7 @@ Options::finish(bool allow_extra)
             "common flags: --config=FILE --dump-config "
             "--stats-json=FILE --threads=N --seed=S "
             "--trace=FILE --sim-cache=N "
-            "--engine=ticked|event --host-timers "
+            "--host-timers "
             "--policy=fifo|sjf|priority --slo-cycles=N "
             "--chips=N "
             "--shard-policy=round-robin|least-loaded|"

@@ -35,12 +35,6 @@
  *   --backoff-cycles=N base of the exponential retry backoff
  *   --shed-queue-depth=N shed fresh arrivals when the total queued
  *                     depth reaches N (0 = shedding off)
- *   --engine=E        simulation engine: event (skip-ahead
- *                     wake-up scheduling, the default) or ticked
- *                     (legacy advance-every-cycle loops); also
- *                     MAICC_ENGINE. Results are byte-identical;
- *                     only the simulator's wall-clock changes
- *                     (DESIGN.md §15)
  *   --host-timers     include per-component host wall-clock
  *                     attribution (hostSeconds) in --stats-json
  *

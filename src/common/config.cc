@@ -303,7 +303,6 @@ toJson(const SystemConfig &c)
     j.set("clockHz", c.clockHz);
     j.set("numThreads", c.numThreads);
     j.set("simCacheEntries", c.simCacheEntries);
-    j.set("engine", engineName(c.engine));
     j.set("geometry", toJson(c.geometry));
     j.set("noc", toJson(c.noc));
     j.set("dram", toJson(c.dram));
@@ -321,19 +320,10 @@ fromJson(const Json &j, SystemConfig &out, std::string *err,
     r.number("clockHz", out.clockHz);
     r.integer("numThreads", out.numThreads);
     r.integer("simCacheEntries", out.simCacheEntries);
-    std::string engine = engineName(out.engine);
-    r.string("engine", engine);
-    if (!parseEngine(engine, out.engine))
-        r.fail("engine", "expected \"ticked\" or \"event\"");
     r.nested("geometry", out.geometry);
     r.nested("noc", out.noc);
     r.nested("dram", out.dram);
     r.nested("llc", out.llc);
-    // One engine knob: the NoC/DRAM subtrees carry working copies
-    // (their toJson deliberately omits them), always slaved to
-    // system.engine.
-    out.noc.engine = out.engine;
-    out.dram.engine = out.engine;
     return r.finish();
 }
 
@@ -531,10 +521,7 @@ fromJson(const Json &j, SimConfig &out, std::string *err)
         ok = false;
     }
     // One system tree: the serving layer always runs under the
-    // top-level system config. The core model's engine knob is
-    // likewise slaved to system.engine (one `--engine` flag, one
-    // config key).
-    out.core.engine = out.system.engine;
+    // top-level system config.
     out.serving.system = out.system;
     return ok;
 }

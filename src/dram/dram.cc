@@ -171,7 +171,7 @@ DramChannel::recordStats()
 }
 
 ManyCoreDram::ManyCoreDram(unsigned channels, const DramConfig &cfg)
-    : SimComponent("dram"), engine(cfg.engine)
+    : SimComponent("dram")
 {
     maicc_assert(channels >= 1);
     chans.reserve(channels);
@@ -196,12 +196,12 @@ ManyCoreDram::enqueue(Addr addr, bool write, uint64_t tag, Cycles now)
 void
 ManyCoreDram::tick(Cycles now)
 {
-    // Event engine: only channels with queued or in-flight work
-    // can change observable state; an idle channel's tick merely
-    // advances its private clock, which re-synchronizes on the
-    // next enqueue anyway.
+    // Only channels with queued or in-flight work can change
+    // observable state; an idle channel's tick merely advances its
+    // private clock, which re-synchronizes on the next enqueue
+    // anyway.
     for (auto &c : chans) {
-        if (engine == EngineKind::Ticked || !c->idle())
+        if (!c->idle())
             c->tick(now);
     }
 }

@@ -23,7 +23,6 @@
 
 #include "common/sim_component.hh"
 #include "common/types.hh"
-#include "engine/engine_kind.hh"
 
 namespace maicc
 {
@@ -41,16 +40,6 @@ struct DramConfig
     Cycles tRP = 14;
     Cycles tRAS = 33;
     Cycles burst = 4;          ///< data-bus cycles per access
-
-    /**
-     * Inner-loop engine (DESIGN.md §15): `Event` skips idle
-     * channels in ManyCoreDram::tick and enables the
-     * next-ready-scheduled drainVia path; `Ticked` polls every
-     * channel every call. Host-side knob, results identical.
-     * Set through `system.engine` / `--engine`, not a config-file
-     * key of its own.
-     */
-    EngineKind engine = defaultEngineKind();
 };
 
 /** Event counters for the energy model. */
@@ -153,10 +142,10 @@ class ManyCoreDram : public SimComponent
     void enqueue(Addr addr, bool write, uint64_t tag, Cycles now);
 
     /**
-     * Advance scheduling on every channel holding work. Under the
-     * event engine, channels with nothing queued or in flight are
-     * skipped (a tick on an idle channel is a no-op but for its
-     * private clock, which is unobservable until work arrives).
+     * Advance scheduling on every channel holding work. Channels
+     * with nothing queued or in flight are skipped (a tick on an
+     * idle channel is a no-op but for its private clock, which is
+     * unobservable until work arrives).
      */
     void tick(Cycles now);
     bool idle() const;
@@ -196,7 +185,6 @@ class ManyCoreDram : public SimComponent
     // registry holds raw pointers), so channels cannot live in a
     // reallocating vector by value.
     std::vector<std::unique_ptr<DramChannel>> chans;
-    EngineKind engine;
 };
 
 } // namespace maicc

@@ -9,7 +9,7 @@
  * host state, no clocks — which is what makes a fixed-fault-seed
  * serving run bitwise reproducible at any thread count.
  *
- * The injector does not mutate anything itself: the recovery loop
+ * The injector does not mutate anything itself: the serving loop
  * (runtime/recovery.cc) walks schedule() and applies each event to
  * the victim ShardEngine at its cycle, in the dedicated fault
  * priority lane (DESIGN.md §16). As a SimComponent it publishes

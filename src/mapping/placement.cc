@@ -40,7 +40,8 @@ SegmentPlacement::layerNodes(size_t layer) const
 
 RegionAllocator::RegionAllocator(const ArrayGeometry &geo)
     : _geo(geo), _used(geo.computeNodes(), false),
-      _dead(geo.computeNodes(), false), _free(geo.computeNodes())
+      _dead(geo.computeNodes(), false), _free(geo.computeNodes()),
+      _longest_possible(geo.computeNodes())
 {
 }
 
@@ -78,17 +79,6 @@ RegionAllocator::longestFreeRun() const
     unsigned best = 0, run = 0;
     for (unsigned i = 0; i < _used.size(); ++i) {
         run = _used[i] ? 0 : run + 1;
-        best = std::max(best, run);
-    }
-    return best;
-}
-
-unsigned
-RegionAllocator::longestPossibleRun() const
-{
-    unsigned best = 0, run = 0;
-    for (unsigned i = 0; i < _dead.size(); ++i) {
-        run = _dead[i] ? 0 : run + 1;
         best = std::max(best, run);
     }
     return best;
@@ -142,6 +132,12 @@ RegionAllocator::markDead(unsigned slot)
     _dead[slot] = true;
     ++_dead_count;
     --_free;
+    unsigned run = 0;
+    _longest_possible = 0;
+    for (unsigned i = 0; i < _dead.size(); ++i) {
+        run = _dead[i] ? 0 : run + 1;
+        _longest_possible = std::max(_longest_possible, run);
+    }
 }
 
 SegmentPlacement

@@ -141,9 +141,10 @@ class RegionAllocator
      * current occupancy: the largest region this allocator can ever
      * satisfy again. The serving layer uses it to spot requests
      * whose minimum region became permanently unservable after a
-     * core-loss fault.
+     * core-loss fault. O(1): the dispatcher asks on every dispatch,
+     * and the value only changes in markDead.
      */
-    unsigned longestPossibleRun() const;
+    unsigned longestPossibleRun() const { return _longest_possible; }
 
     /** Release previously allocated @p slots (asserts each used). */
     void release(const std::vector<unsigned> &slots);
@@ -165,6 +166,7 @@ class RegionAllocator
     std::vector<bool> _dead;
     unsigned _free = 0;
     unsigned _dead_count = 0;
+    unsigned _longest_possible = 0; ///< see longestPossibleRun
 };
 
 } // namespace maicc

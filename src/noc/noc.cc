@@ -245,11 +245,10 @@ MeshNoc::tick()
     std::vector<Move> moves;
 
     // Phase 1: each output port picks at most one eligible input,
-    // based on start-of-cycle queue state. The event engine walks
-    // only routers holding flits — a flit-less router can produce
-    // no candidate, so the move list (in ascending router id under
-    // both engines) is identical to the full ticked sweep.
-    int num_nodes = cfg.width * cfg.height;
+    // based on start-of-cycle queue state. Only routers holding
+    // flits are walked — a flit-less router can produce no
+    // candidate — in ascending router id, so the move list is the
+    // one a sweep over every router would build.
     auto arbitrate = [&](NodeId n) {
         Router &r = routers[n];
         for (int o = 0; o < numDirs; ++o) {
@@ -295,13 +294,8 @@ MeshNoc::tick()
             moves.push_back({n, candidate, o});
         }
     };
-    if (cfg.engine == EngineKind::Event) {
-        for (NodeId n : activeRouters)
-            arbitrate(n);
-    } else {
-        for (NodeId n = 0; n < num_nodes; ++n)
-            arbitrate(n);
-    }
+    for (NodeId n : activeRouters)
+        arbitrate(n);
 
     // Phase 2: commit the moves simultaneously.
     for (const Move &m : moves) {
@@ -342,10 +336,9 @@ MeshNoc::tick()
     }
 
     // Phase 3: injection, one flit per node per cycle. As in
-    // phase 1, the event engine walks only nodes with a non-empty
-    // inject queue (in ascending node id, via the ordered set) —
-    // every skipped node is one the ticked sweep would `continue`
-    // past anyway.
+    // phase 1, only nodes with a non-empty inject queue are walked
+    // (in ascending node id, via the ordered set) — every skipped
+    // node would have nothing to inject anyway.
     bool injected = false;
     auto inject_one = [&](NodeId n) {
         auto &q = injectQueues[n];
@@ -392,16 +385,11 @@ MeshNoc::tick()
                 activeInjectors.erase(n);
         }
     };
-    if (cfg.engine == EngineKind::Event) {
-        // Snapshot: inject_one erases a drained node from the set.
-        std::vector<NodeId> injectors(activeInjectors.begin(),
-                                      activeInjectors.end());
-        for (NodeId n : injectors)
-            inject_one(n);
-    } else {
-        for (NodeId n = 0; n < num_nodes; ++n)
-            inject_one(n);
-    }
+    // Snapshot: inject_one erases a drained node from the set.
+    std::vector<NodeId> injectors(activeInjectors.begin(),
+                                  activeInjectors.end());
+    for (NodeId n : injectors)
+        inject_one(n);
 
     lastTickProgress = !moves.empty() || injected;
     ++cycle;
@@ -411,18 +399,7 @@ void
 MeshNoc::drain(Cycles max_cycles)
 {
     ScopedHostTimer host_timer(*this);
-    if (cfg.engine == EngineKind::Ticked) {
-        Cycles budget = max_cycles;
-        while (!idle()) {
-            if (budget-- == 0)
-                maicc_fatal("NoC failed to drain in %llu cycles",
-                            (unsigned long long)max_cycles);
-            tick();
-        }
-        return;
-    }
-
-    // Event engine: tick only productive cycles. After a tick in
+    // Tick only productive cycles. After a tick in
     // which nothing moved and nothing injected, the mesh state is
     // static except for time — arbitration inputs (queues, locks,
     // round-robin pointers, credits) change only through moves and

@@ -7,8 +7,9 @@
  * A ClusterSimulator owns `ServingConfig::chips` shards. Each shard
  * is a full, independent chip: its own CoreLedger budget,
  * RegionAllocator serpentine, waiting queue, and admission policy —
- * exactly the single-chip serving path, reused via the extracted
- * ShardEngine (shard.hh). Above the shards sits the dispatcher: at
+ * a ShardEngine (shard.hh), driven by the same serving loop
+ * (recovery.hh) a single chip runs as its 1-shard case. Above the
+ * shards sits the dispatcher: at
  * every arrival it picks one shard (ShardPolicy, admission.hh) from
  * those that have the model registered (addModel's shard mask) and
  * waiting-room space, and the request lives there until it

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "engine/event_queue.hh"
@@ -11,44 +10,14 @@
 namespace maicc
 {
 
-std::vector<UtilizationSample>
-mergeShardTimelines(
-    const std::vector<std::vector<UtilizationSample>> &per_shard)
-{
-    std::vector<size_t> idx(per_shard.size(), 0);
-    std::vector<unsigned> cur(per_shard.size(), 0);
-    std::vector<UtilizationSample> out;
-    for (;;) {
-        Cycles next = ShardEngine::kNever;
-        for (size_t s = 0; s < per_shard.size(); ++s) {
-            if (idx[s] < per_shard[s].size())
-                next = std::min(next, per_shard[s][idx[s]].cycle);
-        }
-        if (next == ShardEngine::kNever)
-            break;
-        for (size_t s = 0; s < per_shard.size(); ++s) {
-            while (idx[s] < per_shard[s].size()
-                   && per_shard[s][idx[s]].cycle == next) {
-                cur[s] = per_shard[s][idx[s]].usedCores;
-                ++idx[s];
-            }
-        }
-        unsigned total =
-            std::accumulate(cur.begin(), cur.end(), 0u);
-        out.push_back({next, total});
-    }
-    return out;
-}
-
-std::vector<RecoveryShardOutcome>
-runRecoveryLoop(const ServingConfig &cfg,
-                const std::vector<ServedModel> &models,
-                const std::vector<unsigned> &min_cores,
-                const std::vector<ServingArrival> &arrivals,
-                const std::vector<uint64_t> &shard_masks,
-                unsigned n_chips,
-                const ShardEngine::ProfileFn &profile,
-                const FaultInjector *injector, ServingResult &res)
+std::vector<ShardOutcome>
+runServingLoop(const ServingConfig &cfg,
+               const std::vector<ServedModel> &models,
+               const std::vector<unsigned> &min_cores,
+               const std::vector<ServingArrival> &arrivals,
+               const std::vector<uint64_t> &shard_masks,
+               unsigned n_chips, const ShardEngine::ProfileFn &profile,
+               const FaultInjector *injector, ServingResult &res)
 {
     constexpr Cycles kNever = ShardEngine::kNever;
     constexpr int kLaneFault = -3;
@@ -58,7 +27,17 @@ runRecoveryLoop(const ServingConfig &cfg,
 
     maicc_assert(n_chips >= 1);
     maicc_assert(shard_masks.size() == models.size());
-    res.recovery = true;
+    res.recovery = recoveryActive(cfg);
+    res.offered = arrivals.size();
+    res.sloCycles = cfg.sloCycles;
+    res.requests.resize(arrivals.size());
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        RequestRecord &r = res.requests[i];
+        r.id = i;
+        r.model = arrivals[i].model;
+        r.priorityClass = models[r.model].priorityClass;
+        r.arrival = arrivals[i].cycle;
+    }
 
     std::vector<std::unique_ptr<ShardEngine>> shards;
     shards.reserve(n_chips);
@@ -81,10 +60,13 @@ runRecoveryLoop(const ServingConfig &cfg,
     // requests instead of finish cycles).
     std::vector<unsigned> epoch(res.requests.size(), 0);
 
-    // Dispatcher state — identical rules to the fault-free cluster
-    // path, with eligibility extended by liveness: a dead shard or
-    // one whose surviving region can never hold the model's
-    // minimum group is excluded from the mask.
+    // Dispatcher state. A shard is eligible for a model when the
+    // model's mask covers it, it is alive with a surviving region
+    // that can hold the model's minimum group, and its waiting
+    // room has space. Model-affinity "warmth" is which shard
+    // dispatched which model before — a pure function of the
+    // seeded stream, never of TimingResultCache occupancy, so
+    // dispatch is identical with the sim cache on or off.
     unsigned rr_next = 0;
     std::vector<std::vector<char>> served(
         n_chips, std::vector<char>(models.size(), 0));
@@ -93,6 +75,8 @@ runRecoveryLoop(const ServingConfig &cfg,
             && shards[s]->canServe(min_cores[model])
             && !shards[s]->queueFull();
     };
+    // Least-loaded rule: most free cores, then shortest waiting
+    // queue, then lowest index — all deterministic tie-breaks.
     auto better = [&](unsigned a, unsigned b) {
         if (shards[a]->freeCores() != shards[b]->freeCores())
             return shards[a]->freeCores() > shards[b]->freeCores();
@@ -132,10 +116,13 @@ runRecoveryLoop(const ServingConfig &cfg,
         return -1;
     };
 
-    // Completion wake-up scheduling per shard, with the armed
-    // watermark from the fault-free paths. A fail-stop that kills
-    // the armed batch leaves a stale wake behind; the
-    // nextFinish()==t re-check makes it a no-op.
+    // Completion wake-up scheduling per shard (DESIGN.md §15): a
+    // shard arms one wake at its earliest pending finish whenever
+    // that moves earlier, and a fired wake retires every batch
+    // finishing at its cycle, admitting after each retirement. A
+    // wake that no longer matches — its batch already retired by
+    // an earlier event, or killed by a fail-stop — fails the
+    // nextFinish()==t re-check and is a no-op.
     std::vector<Cycles> armed(n_chips, kNever);
     std::function<void(unsigned, Cycles)> arm = [&](unsigned s,
                                                     Cycles) {
@@ -330,7 +317,7 @@ runRecoveryLoop(const ServingConfig &cfg,
     bool truncated = cfg.cutoff != 0 && work_left;
     res.endCycle = truncated ? cfg.cutoff : now;
 
-    std::vector<RecoveryShardOutcome> out(n_chips);
+    std::vector<ShardOutcome> out(n_chips);
     for (unsigned i = 0; i < n_chips; ++i) {
         out[i].timeline = shards[i]->takeTimeline();
         out[i].minServiceLatency =

@@ -1,19 +1,13 @@
 /**
  * @file
- * The unified serving-tier recovery event loop (DESIGN.md §16).
- *
- * When a ServingConfig asks for any recovery semantics
- * (recoveryActive: fault injection, queueing timeouts, or overload
- * shedding), ServingSimulator::run and ClusterSimulator::run route
- * here instead of their fault-free fast paths. One implementation
- * serves both tiers — a single chip is the 1-shard cluster — and
- * runs on the shared EventQueue kernel regardless of
- * SystemConfig::engine: with recovery active there is no legacy
- * ticked twin to stay byte-identical to, and the priority-lane
- * ordering below *is* the recovery semantics, so emulating it with
- * a ticked scan would be the same loop written twice. (The
- * engine-identity contract of DESIGN.md §15 applies to the
- * fault-free paths, which this file never touches.)
+ * The serving event loop (DESIGN.md §11, §14, §16): the one loop
+ * behind ServingSimulator::run (a single chip is its 1-shard case)
+ * and ClusterSimulator::run (N shards behind the dispatcher). It runs
+ * on the shared EventQueue kernel; fault injection, queueing
+ * timeouts and overload shedding (recoveryActive) are lanes of the
+ * same loop that stay empty on a fault-free run, so a fault-free
+ * run schedules exactly the arrival and completion events it
+ * needs and nothing else.
  *
  * Event ordering at one cycle, by ascending priority lane:
  *
@@ -26,7 +20,9 @@
  *                      that waited its full timeout is retried
  *                      even if capacity opens the same cycle;
  *   0..nChips-1        per-shard completion wakes, ascending shard
- *                      index (the PR 7 cross-shard tie-break);
+ *                      index (the cross-shard tie-break), so cores
+ *                      free up before a simultaneous arrival is
+ *                      considered;
  *   nChips             fresh arrivals;
  *   nChips+1           retry re-dispatches — behind the cycle's
  *                      fresh arrivals, so backoff never lets a
@@ -53,48 +49,38 @@ namespace maicc
 class FaultInjector;
 
 /**
- * Per-shard raw outputs of a recovery run, for the cluster tier's
- * slice reports (the aggregate lives in the ServingResult the loop
- * fills in place).
+ * Per-shard raw outputs of a serving run, for the caller's
+ * aggregate and slice reports (the request records live in the
+ * ServingResult the loop fills in place).
  */
-struct RecoveryShardOutcome
+struct ShardOutcome
 {
     std::vector<UtilizationSample> timeline;
     Cycles minServiceLatency = 0; ///< 0 when nothing admitted
 };
 
 /**
- * Sum per-shard used-core step functions into one cluster-wide
- * timeline (one sample per distinct event cycle; within a shard
- * the last sample at a cycle wins). Shared by the fault-free
- * cluster path and the recovery loop so both merge identically.
- */
-std::vector<UtilizationSample> mergeShardTimelines(
-    const std::vector<std::vector<UtilizationSample>> &per_shard);
-
-/**
- * Run the recovery event loop over @p n_chips shards.
+ * Run the serving event loop over @p n_chips shards.
  *
- * @p res must arrive with requests prefilled in arrival order
- * (id/model/priorityClass/arrival) and offered/sloCycles set; the
- * loop marks rejected/shed/timedOut flags and retry counts on the
- * records, fills the availability counters, the applied per-class
- * fault counters, endCycle, and sets res.recovery — everything
+ * Fills @p res from scratch: one request record per entry of
+ * @p arrivals (in arrival order), offered and sloCycles, the
+ * rejected/shed/timedOut flags and retry counts, the availability
+ * and applied per-class fault counters, endCycle, and
+ * res.recovery = recoveryActive(cfg) — everything
  * finalizeServingResult needs, which the caller runs afterwards
  * (the caller owns total-core normalization and stats publishing).
  *
  * @p shard_masks is per model (bit i = shard i may serve it);
- * @p injector may be null (timeout/shedding-only recovery).
+ * @p injector may be null (no fault schedule).
  */
-std::vector<RecoveryShardOutcome>
-runRecoveryLoop(const ServingConfig &cfg,
-                const std::vector<ServedModel> &models,
-                const std::vector<unsigned> &min_cores,
-                const std::vector<ServingArrival> &arrivals,
-                const std::vector<uint64_t> &shard_masks,
-                unsigned n_chips,
-                const ShardEngine::ProfileFn &profile,
-                const FaultInjector *injector, ServingResult &res);
+std::vector<ShardOutcome>
+runServingLoop(const ServingConfig &cfg,
+               const std::vector<ServedModel> &models,
+               const std::vector<unsigned> &min_cores,
+               const std::vector<ServingArrival> &arrivals,
+               const std::vector<uint64_t> &shard_masks,
+               unsigned n_chips, const ShardEngine::ProfileFn &profile,
+               const FaultInjector *injector, ServingResult &res);
 
 } // namespace maicc
 

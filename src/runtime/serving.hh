@@ -19,8 +19,8 @@
  * per-priority-class latency percentiles and SLO attainment are
  * reported alongside the global metrics.
  *
- * The event loop is a serial discrete-event simulation in integer
- * cycles; every per-request service time comes from the existing
+ * The event loop (runServingLoop, recovery.hh) is a serial
+ * discrete-event simulation in integer cycles; every per-request service time comes from the existing
  * functional+timing system (MaiccSystem::run under the request's
  * granted core budget), so the PR 1 determinism contract carries
  * over: a fixed seed produces bitwise-identical results at any
@@ -182,9 +182,10 @@ struct ServingConfig
 
     // ------------------------------------------------------------
     // Fault injection and recovery (DESIGN.md §16). All defaults
-    // leave recovery inactive, which routes run() through the
-    // pre-fault event loops unchanged — the byte-identity
-    // contract for fault-free runs.
+    // leave recovery inactive: the serving loop then schedules no
+    // fault, timeout or retry event, and the stats dump carries no
+    // availability keys — the byte-identity contract for
+    // fault-free runs.
     // ------------------------------------------------------------
 
     /** Fault schedule (`--faults=FILE`, `--fault-seed/-rate`). */
@@ -225,9 +226,10 @@ struct ServingConfig
 };
 
 /**
- * True when @p cfg asks for any recovery semantics: run() then
- * takes the unified recovery event loop (runtime/recovery.hh)
- * instead of the fault-free fast paths.
+ * True when @p cfg asks for any recovery semantics: fault
+ * injection, queueing timeouts, or overload shedding. Sets
+ * ServingResult::recovery, which gates the availability keys of
+ * the stats dump.
  */
 inline bool
 recoveryActive(const ServingConfig &cfg)
@@ -280,7 +282,7 @@ struct UtilizationSample
 /**
  * Latency profile of one model in one region size: the memoized
  * outcome of one isolated inference probe (ServingSimulator::
- * profile), shared by the single-chip event loop, the SJF cost
+ * profile), shared by the serving event loop, the SJF cost
  * estimates, and every shard of a cluster (identical hardware per
  * shard means the profile is shard-independent).
  */

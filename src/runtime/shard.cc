@@ -67,12 +67,12 @@ void
 ShardEngine::tryAdmit(Cycles now)
 {
     while (!queue.empty()) {
-        // Snapshot the queue for the policy, in queue order. Cost
-        // estimates (SJF) reuse the memoized per-(model, minCores)
-        // service profiles, so only the first sight of a model pays
-        // for a probe simulation.
-        std::vector<QueuedRequest> view;
-        view.reserve(queue.size());
+        // Snapshot the queue for the policy, in queue order, into
+        // the reused buffer (a deep backlog makes this the loop's
+        // hottest path). Cost estimates (SJF) reuse the memoized
+        // per-(model, minCores) service profiles, so only the first
+        // sight of a model pays for a probe simulation.
+        view.clear();
         for (uint64_t qid : queue) {
             const RequestRecord &q = requests[qid];
             QueuedRequest v;
@@ -191,7 +191,7 @@ ShardEngine::tryAdmit(Cycles now)
 std::vector<uint64_t>
 ShardEngine::failStop(Cycles now)
 {
-    // The recovery loop retires completions strictly before the
+    // The serving loop retires completions strictly before the
     // fault cycle first, so every batch still running here is
     // genuinely in flight — its members are killed mid-service and
     // must be re-dispatched elsewhere.

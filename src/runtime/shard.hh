@@ -8,13 +8,10 @@
  * cluster tier (cluster.hh) needs exactly that machinery N times
  * over — one independent (CoreLedger, RegionAllocator, waiting
  * queue, running set) per chip — so the loop's mutable state and
- * its admission/completion transitions live here, extracted
- * verbatim. ServingSimulator::run() drives one ShardEngine;
- * ClusterSimulator::run() drives N of them behind a cross-chip
- * dispatcher. The extraction is behavior-preserving: the
- * single-chip path performs the identical operations in the
- * identical order, which is what keeps `--chips=1` byte-identical
- * to the pre-cluster stats dump.
+ * its admission/completion transitions live here. The serving loop
+ * (recovery.hh) drives one ShardEngine for ServingSimulator::run()
+ * and N of them behind a cross-chip dispatcher for
+ * ClusterSimulator::run().
  *
  * A ShardEngine does not own request records or service profiles:
  * it mutates the shared per-run RequestRecord vector (each record
@@ -141,9 +138,10 @@ class ShardEngine
     }
 
     // ------------------------------------------------------------
-    // Fault transitions (DESIGN.md §16). Only the recovery loop
-    // (recovery.cc) calls these; the fault-free serving/cluster
-    // paths never touch them, which is what keeps those paths
+    // Fault transitions (DESIGN.md §16). Only the serving loop's
+    // fault, timeout and shedding lanes (recovery.cc) call the
+    // mutators; a fault-free run schedules none of those events,
+    // so it never reaches them, which is what keeps its results
     // byte-identical to the pre-fault build.
     // ------------------------------------------------------------
 
@@ -243,6 +241,7 @@ class ShardEngine
     unsigned coresInFlight = 0;
     std::vector<UtilizationSample> timeline;
     Cycles minService = kNever;
+    std::vector<QueuedRequest> view; ///< tryAdmit's queue snapshot
 
     // Fault state — all of it stays at the defaults on the
     // fault-free paths.

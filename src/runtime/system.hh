@@ -87,21 +87,6 @@ struct SystemConfig
     unsigned simCacheEntries = 0;
 
     /**
-     * Inner-loop engine (DESIGN.md §15): `Event` (default) drives
-     * the streaming segment loop through the shared event kernel
-     * (one scheduled event per segment) and propagates to the
-     * NoC / DRAM / core subtrees; `Ticked` keeps every legacy
-     * advance-everything loop. A host-side knob like numThreads
-     * and simCacheEntries: results are byte-identical either way
-     * (the differential suite pins this), so the sim-cache key
-     * pins it to a constant. `--engine=ticked|event` or
-     * `system.engine` in a config file set it; assigning it here
-     * also assigns noc.engine / dram.engine / the core knob via
-     * fromJson and the CLI layer.
-     */
-    EngineKind engine = defaultEngineKind();
-
-    /**
      * Fraction of the peak aggregate DRAM bandwidth the batched
      * filter-load phase sustains. Streaming row-major filter
      * blocks across 32 interleaved channels keeps every channel

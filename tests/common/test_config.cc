@@ -2,13 +2,16 @@
  * @file
  * The JSON config binding (common/config.hh): lossless round
  * trips, partial overlays, and strict unknown-key / type-mismatch
- * errors with usable paths.
+ * errors with usable paths; plus the command-line layer's
+ * rejection of unrecognized options (common/cli.hh).
  */
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hh"
 #include "common/config.hh"
 #include "common/json.hh"
 
@@ -322,4 +325,31 @@ TEST(Config, UnknownFaultEventKeyIsAnErrorWithPath)
     EXPECT_NE(err.find("events[0].cores"), std::string::npos)
         << err;
     EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
+}
+
+TEST(Config, RetiredEngineKeyIsAnUnknownKey)
+{
+    // The engine selector is gone; an old config naming it must
+    // fail loudly rather than be silently ignored.
+    SimConfig cfg;
+    std::istringstream in("{\"system\": {\"engine\": \"event\"}}");
+    std::string err;
+    EXPECT_FALSE(loadConfig(in, cfg, &err));
+    EXPECT_EQ(err, "system.engine: unknown key");
+}
+
+TEST(Config, RetiredEngineFlagIsUnrecognized)
+{
+    std::string tool = "test_config", flag = "--engine=event";
+    char *argv[] = {tool.data(), flag.data(), nullptr};
+    int argc = 2;
+    cli::Options opt(tool, argc, argv);
+    testing::internal::CaptureStderr();
+    bool proceed = opt.finish();
+    std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(proceed);
+    EXPECT_EQ(opt.exitCode(), 2);
+    EXPECT_NE(out.find("unrecognized option: --engine=event"),
+              std::string::npos)
+        << out;
 }

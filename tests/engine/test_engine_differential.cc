@@ -1,26 +1,46 @@
 /**
  * @file
- * Ticked-vs-event differential suite (DESIGN.md §15): the two
- * engines must produce *byte-identical* results — cycle counts,
- * delivery orders, every stat counter, and the full --stats-json
- * registry dump — on every refitted model. Covers:
+ * Event-kernel regression suite (DESIGN.md §15). Every model runs
+ * on the one event kernel; this suite pins its results two ways.
  *
- *  - MeshNoc under seeded random traffic (dense and the sparse
- *    low-occupancy case where skip-ahead jumps dominate);
+ * Golden files (tests/engine/golden/): byte-exact outputs captured
+ * from the retired ticked engine (advance-every-cycle loops) over
+ * the same matrix, so the skip-ahead kernel stays pinned to the
+ * oracle it replaced:
+ *
+ *  - MeshNoc under seeded random traffic (dense, sparse
+ *    low-occupancy, and a single flit across the mesh): the
+ *    registry dump, latency arithmetic, and per-node delivery
+ *    order;
  *  - CoreTimingModel over seeded random RV32+CMem programs (the
- *    write-back port booking is the engine-sensitive path);
- *  - ManyCoreDram: per-cycle polling drain vs the event-kernel
- *    drainVia(), completion for completion;
- *  - MaiccSystem end-to-end runs (streaming segment loop);
- *  - serving and cluster runs at 1 and 8 host threads with the
- *    timing-result cache off, cold, and warmed *by the other
- *    engine* (the cache key pins the engine, so entries must
- *    replay across engines);
- *  - hostSeconds publication: absent from default stats dumps
- *    (they are byte-compared across engines), present only under
- *    SimContext::enableHostTimers.
+ *    write-back port booking is the skip-ahead path);
+ *  - ManyCoreDram completion order and stats;
+ *  - MaiccSystem end-to-end runs (cycles, segments, activity);
+ *  - serving and cluster --stats-json dumps.
+ *
+ * Live differentials, which need no golden data:
+ *
+ *  - the NoC's per-cycle tick() loop against the skip-ahead
+ *    drain();
+ *  - DRAM per-cycle polling against the event-kernel drainVia();
+ *  - 1 against 8 host threads, with the timing-result cache off
+ *    or cold;
+ *  - the functional referenceRun anchor;
+ *  - hostSeconds publication: absent from default stats dumps,
+ *    present only under SimContext::enableHostTimers.
+ *
+ * To regenerate after an *intentional* timing-model change:
+ *
+ *   MAICC_REGOLD=1 ./test_engine
+ *
+ * which rewrites the golden files in the source tree; review the
+ * diff like any other code change.
  */
 
+#include <cstdlib>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,18 +70,84 @@ using testserv::expectIdenticalResults;
 namespace
 {
 
-NocConfig
-nocConfig(EngineKind engine)
+/**
+ * Compare @p actual with the golden file @p name, or rewrite the
+ * file when MAICC_REGOLD is set.
+ */
+void
+expectGolden(const std::string &name, const std::string &actual)
 {
-    NocConfig cfg;
-    cfg.engine = engine;
-    return cfg;
+    std::string path =
+        std::string(MAICC_GOLDEN_DIR) + "/" + name + ".txt";
+    if (std::getenv("MAICC_REGOLD")) {
+        std::ofstream f(path);
+        ASSERT_TRUE(f.good()) << "cannot write " << path;
+        f << actual;
+        return;
+    }
+    std::ifstream f(path);
+    ASSERT_TRUE(f.good())
+        << "missing golden file " << path
+        << " — run with MAICC_REGOLD=1 to generate";
+    std::ostringstream want;
+    want << f.rdbuf();
+    EXPECT_EQ(want.str(), actual) << "differs from " << path;
 }
 
-/** Inject the same seeded traffic into @p noc and drain it. */
+/** A double printed with every significant digit. */
+std::string
+exact(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+}
+
+/**
+ * Everything a NoC run can observe: the registry dump (includes
+ * the cycle counter, so a skip-ahead jump landing on a wrong cycle
+ * shows), the latency arithmetic, and each node's delivery order.
+ */
+std::string
+nocText(MeshNoc &noc)
+{
+    SimContext ctx;
+    noc.attachTo(ctx, "noc");
+    std::ostringstream os;
+    os << ctx.statsToJson().dump();
+    os << "delivered " << noc.packetsDelivered() << "\n";
+    os << "avgPacketLatency " << exact(noc.avgPacketLatency())
+       << "\n";
+    for (NodeId n = 0; n < 256; ++n) {
+        const auto &d = noc.delivered(n);
+        if (d.empty())
+            continue;
+        os << "node " << n << ":";
+        for (const Packet &p : d)
+            os << " " << p.tag;
+        os << "\n";
+    }
+    return os.str();
+}
+
+/** Drive @p noc until idle, one tick() per cycle. */
+void
+tickUntilIdle(MeshNoc &noc)
+{
+    for (Cycles c = 0; !noc.idle(); ++c) {
+        ASSERT_LT(c, Cycles(1'000'000)) << "tick runaway";
+        noc.tick();
+    }
+}
+
+/**
+ * Inject the same seeded traffic into @p noc, wave by wave,
+ * emptying the mesh after each wave with drain() or, when
+ * @p per_cycle, with a plain tick() loop.
+ */
 std::string
 runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
-              unsigned waves)
+              unsigned waves, bool per_cycle)
 {
     Rng rng(seed);
     for (unsigned w = 0; w < waves; ++w) {
@@ -75,70 +161,64 @@ runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
             p.tag = w * 1000 + i;
             noc.inject(p);
         }
-        noc.drain();
+        if (per_cycle)
+            tickUntilIdle(noc);
+        else
+            noc.drain();
     }
-    SimContext ctx;
-    noc.attachTo(ctx, "noc");
-    return ctx.statsToJson().dump();
+    return nocText(noc);
 }
 
 void
-expectNocIdentical(uint64_t seed, unsigned packets, unsigned waves)
+expectNocGolden(const std::string &name, uint64_t seed,
+                unsigned packets, unsigned waves)
 {
     SCOPED_TRACE("seed " + std::to_string(seed) + " packets "
                  + std::to_string(packets));
-    MeshNoc ticked(nocConfig(EngineKind::Ticked));
-    MeshNoc event(nocConfig(EngineKind::Event));
-    std::string tj = runNocTraffic(ticked, seed, packets, waves);
-    std::string ej = runNocTraffic(event, seed, packets, waves);
-
-    // Same deliveries in the same per-node order...
-    for (NodeId n = 0; n < 256; ++n) {
-        auto &td = ticked.delivered(n);
-        auto &ed = event.delivered(n);
-        ASSERT_EQ(td.size(), ed.size()) << "node " << n;
-        for (size_t i = 0; i < td.size(); ++i)
-            EXPECT_EQ(td[i].tag, ed[i].tag)
-                << "node " << n << " slot " << i;
-    }
-    EXPECT_EQ(ticked.packetsDelivered(), event.packetsDelivered());
-    // ...the same latency arithmetic, bit for bit...
-    EXPECT_EQ(ticked.avgPacketLatency(), event.avgPacketLatency());
-    // ...and the same registry dump (includes the cycle counter,
-    // so a skip-ahead jump landing on a wrong cycle fails here).
-    EXPECT_EQ(tj, ej);
+    MeshNoc drained, ticked;
+    std::string dj = runNocTraffic(drained, seed, packets, waves,
+                                   false);
+    std::string tj = runNocTraffic(ticked, seed, packets, waves,
+                                   true);
+    // Skip-ahead drain() lands on exactly the state a per-cycle
+    // loop reaches...
+    EXPECT_EQ(dj, tj);
+    // ...and both on the retired ticked engine's bytes.
+    expectGolden(name, dj);
 }
 
 } // namespace
 
 TEST(EngineDifferential, NocDenseRandomTraffic)
 {
-    expectNocIdentical(101, 400, 3);
+    expectNocGolden("noc_dense", 101, 400, 3);
 }
 
 TEST(EngineDifferential, NocSparseLowOccupancyTraffic)
 {
     // A handful of long-haul packets: almost every drain cycle is
-    // idle, so the event engine spends its time in clock jumps —
-    // the case the skip-ahead math must get exactly right.
-    expectNocIdentical(77, 3, 4);
+    // idle, so drain() spends its time in clock jumps — the case
+    // the skip-ahead math must get exactly right.
+    expectNocGolden("noc_sparse", 77, 3, 4);
 }
 
 TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
 {
-    MeshNoc ticked(nocConfig(EngineKind::Ticked));
-    MeshNoc event(nocConfig(EngineKind::Event));
-    for (MeshNoc *noc : {&ticked, &event}) {
+    MeshNoc drained, ticked;
+    for (MeshNoc *noc : {&drained, &ticked}) {
         Packet p;
         p.src = noc->nodeId(0, 0);
         p.dst = noc->nodeId(15, 15);
         p.sizeFlits = 1;
         noc->inject(p);
-        noc->drain();
     }
-    EXPECT_EQ(ticked.avgPacketLatency(), event.avgPacketLatency());
-    EXPECT_DOUBLE_EQ(event.avgPacketLatency(),
-                     event.zeroLoadLatency(30, 1));
+    drained.drain();
+    tickUntilIdle(ticked);
+    EXPECT_DOUBLE_EQ(drained.avgPacketLatency(),
+                     drained.zeroLoadLatency(30, 1));
+    std::string dj = nocText(drained);
+    EXPECT_EQ(dj, nocText(ticked));
+    expectGolden("noc_single_flit", dj);
 }
 
 namespace
@@ -160,13 +240,11 @@ struct NodeState
 };
 
 CoreRunStats
-runCore(const rv32::Program &prog, EngineKind engine)
+runCore(const rv32::Program &prog)
 {
     NodeState ns(prog);
-    CoreConfig cfg;
-    cfg.engine = engine;
     CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows,
-                          cfg);
+                          CoreConfig{});
     return model.run();
 }
 
@@ -174,36 +252,26 @@ runCore(const rv32::Program &prog, EngineKind engine)
 
 TEST(EngineDifferential, CoreTimingRandomPrograms)
 {
+    std::ostringstream os;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed);
         rv32::Program prog = testgen::randomProgram(rng);
-        CoreRunStats t = runCore(prog, EngineKind::Ticked);
-        CoreRunStats e = runCore(prog, EngineKind::Event);
-        EXPECT_EQ(t.cycles, e.cycles);
-        EXPECT_EQ(t.insts, e.insts);
-        EXPECT_EQ(t.cmemInsts, e.cmemInsts);
-        EXPECT_EQ(t.cmemBusyCycles, e.cmemBusyCycles);
-        EXPECT_EQ(t.stallRaw, e.stallRaw);
-        EXPECT_EQ(t.stallWaw, e.stallWaw);
-        EXPECT_EQ(t.stallQueueFull, e.stallQueueFull);
-        EXPECT_EQ(t.stallStructural, e.stallStructural);
-        EXPECT_EQ(t.branchPenaltyCycles, e.branchPenaltyCycles);
-        EXPECT_EQ(t.localMemOps, e.localMemOps);
-        EXPECT_EQ(t.remoteOps, e.remoteOps);
+        CoreRunStats s = runCore(prog);
+        os << "seed " << seed << " cycles " << s.cycles
+           << " insts " << s.insts << " cmemInsts " << s.cmemInsts
+           << " cmemBusyCycles " << s.cmemBusyCycles
+           << " stallRaw " << s.stallRaw << " stallWaw "
+           << s.stallWaw << " stallQueueFull " << s.stallQueueFull
+           << " stallStructural " << s.stallStructural
+           << " branchPenaltyCycles " << s.branchPenaltyCycles
+           << " localMemOps " << s.localMemOps << " remoteOps "
+           << s.remoteOps << "\n";
     }
+    expectGolden("core_random_programs", os.str());
 }
 
 namespace
 {
-
-DramConfig
-dramConfig(EngineKind engine)
-{
-    DramConfig cfg;
-    cfg.engine = engine;
-    return cfg;
-}
 
 /** (tag, cycle, write) triples in completion order. */
 using Completions = std::vector<std::vector<uint64_t>>;
@@ -232,45 +300,53 @@ asTriples(const std::vector<DramCompletion> &done)
 
 TEST(EngineDifferential, DramPollingDrainVsEventDrain)
 {
+    std::ostringstream os;
     for (uint64_t seed : {5u, 6u, 7u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
 
-        // Ticked: the legacy polling sweep — advance every channel
-        // every cycle, collect in channel order.
-        ManyCoreDram ticked(8, dramConfig(EngineKind::Ticked));
-        enqueueSeeded(ticked, seed, 96);
-        std::vector<DramCompletion> tdone;
+        // Polling: tick every cycle, collect in channel order.
+        ManyCoreDram polled(8);
+        enqueueSeeded(polled, seed, 96);
+        std::vector<DramCompletion> pdone;
         Cycles c = 0;
-        while (!ticked.idle()) {
+        while (!polled.idle()) {
             ++c;
             ASSERT_LT(c, Cycles(1'000'000)) << "polling runaway";
-            ticked.tick(c);
-            for (unsigned ch = 0; ch < ticked.numChannels(); ++ch)
-                for (auto &d : ticked.channel(ch).collect(c))
-                    tdone.push_back(d);
+            polled.tick(c);
+            for (unsigned ch = 0; ch < polled.numChannels(); ++ch)
+                for (auto &d : polled.channel(ch).collect(c))
+                    pdone.push_back(d);
         }
 
         // Event: the wake-up chain drain on the shared kernel.
-        ManyCoreDram event(8, dramConfig(EngineKind::Event));
+        ManyCoreDram event(8);
         enqueueSeeded(event, seed, 96);
         std::vector<DramCompletion> edone;
         EventQueue eq;
         Cycles last = event.drainVia(eq, &edone);
 
-        ASSERT_EQ(tdone.size(), edone.size());
-        EXPECT_EQ(asTriples(tdone), asTriples(edone));
-        EXPECT_EQ(last, tdone.back().finishedAt);
+        ASSERT_EQ(pdone.size(), edone.size());
+        EXPECT_EQ(asTriples(pdone), asTriples(edone));
+        EXPECT_EQ(last, pdone.back().finishedAt);
         // Far fewer wake-ups than polled cycles is the point.
         EXPECT_LT(eq.eventsRun(), uint64_t(c));
 
-        DramStats ts = ticked.totalStats();
+        DramStats ps = polled.totalStats();
         DramStats es = event.totalStats();
-        EXPECT_EQ(ts.reads, es.reads);
-        EXPECT_EQ(ts.writes, es.writes);
-        EXPECT_EQ(ts.activates, es.activates);
-        EXPECT_EQ(ts.rowHits, es.rowHits);
-        EXPECT_EQ(ts.busyCycles, es.busyCycles);
+        EXPECT_EQ(ps.reads, es.reads);
+        EXPECT_EQ(ps.writes, es.writes);
+        EXPECT_EQ(ps.activates, es.activates);
+        EXPECT_EQ(ps.rowHits, es.rowHits);
+        EXPECT_EQ(ps.busyCycles, es.busyCycles);
+
+        os << "seed " << seed << " reads " << es.reads << " writes "
+           << es.writes << " activates " << es.activates
+           << " rowHits " << es.rowHits << " busyCycles "
+           << es.busyCycles << "\n";
+        for (const auto &t : asTriples(edone))
+            os << t[0] << " " << t[1] << " " << t[2] << "\n";
     }
+    expectGolden("dram_completions", os.str());
 }
 
 namespace
@@ -293,15 +369,39 @@ struct SystemFixture
 };
 
 RunResult
-runSystem(const SystemFixture &m, EngineKind engine,
-          unsigned threads)
+runSystem(const SystemFixture &m, unsigned threads)
 {
     SystemConfig cfg;
-    cfg.engine = engine;
     cfg.numThreads = threads;
     MaiccSystem sys(m.net, m.weights, cfg);
     MappingPlan plan = planMapping(m.net, Strategy::Heuristic, 210);
     return sys.run(plan, m.input);
+}
+
+/** Cycles, segment and layer timing, and activity of @p r. */
+std::string
+systemText(const RunResult &r)
+{
+    std::ostringstream os;
+    os << "totalCycles " << r.totalCycles << "\n";
+    for (const SegmentRunStats &s : r.segments) {
+        os << "segment start " << s.start << " filterLoadDone "
+           << s.filterLoadDone << " end " << s.end << "\n";
+        for (const LayerRunStats &l : s.layers)
+            os << "  layer " << l.layerIdx << " firstInput "
+               << l.firstInput << " lastOutput " << l.lastOutput
+               << "\n";
+    }
+    const ActivityCounts &a = r.activity;
+    os << "activity runtime " << a.runtime << " activeCoreCycles "
+       << a.activeCoreCycles << " macActivations "
+       << a.macActivations << " moveRows " << a.moveRows
+       << " remoteRows " << a.remoteRows << " verticalWriteBytes "
+       << a.verticalWriteBytes << " dmemAccesses " << a.dmemAccesses
+       << " llcAccesses " << a.llcAccesses << " nocFlitHops "
+       << a.nocFlitHops << " dramAccesses " << a.dramAccesses
+       << "\n";
+    return os.str();
 }
 
 } // namespace
@@ -309,27 +409,19 @@ runSystem(const SystemFixture &m, EngineKind engine,
 TEST(EngineDifferential, SystemRunIdentical)
 {
     SystemFixture m(buildSmallCnn(16, 16, 64), 43);
+    auto ref = referenceRun(m.net, m.weights, m.input);
+    RunResult serial = runSystem(m, 1);
     for (unsigned threads : {1u, 8u}) {
         SCOPED_TRACE(threads);
-        RunResult t = runSystem(m, EngineKind::Ticked, threads);
-        RunResult e = runSystem(m, EngineKind::Event, threads);
-        EXPECT_EQ(t.totalCycles, e.totalCycles);
-        ASSERT_EQ(t.layerOutputs.size(), e.layerOutputs.size());
-        for (size_t i = 0; i < t.layerOutputs.size(); ++i)
-            EXPECT_EQ(t.layerOutputs[i].data,
-                      e.layerOutputs[i].data)
+        RunResult r = threads == 1 ? serial : runSystem(m, threads);
+        ASSERT_EQ(r.layerOutputs.size(), serial.layerOutputs.size());
+        for (size_t i = 0; i < r.layerOutputs.size(); ++i)
+            EXPECT_EQ(r.layerOutputs[i].data,
+                      serial.layerOutputs[i].data)
                 << "layer " << i;
-        EXPECT_EQ(t.activity.nocFlitHops, e.activity.nocFlitHops);
-        EXPECT_EQ(t.activity.dramAccesses,
-                  e.activity.dramAccesses);
-        ASSERT_EQ(t.segments.size(), e.segments.size());
-        for (size_t i = 0; i < t.segments.size(); ++i) {
-            EXPECT_EQ(t.segments[i].start, e.segments[i].start);
-            EXPECT_EQ(t.segments[i].end, e.segments[i].end);
-        }
-        // Anchor: both match the functional reference.
-        auto ref = referenceRun(m.net, m.weights, m.input);
-        EXPECT_EQ(e.output().data, ref.final().data);
+        // Anchor: the functional reference.
+        EXPECT_EQ(r.output().data, ref.final().data);
+        expectGolden("system_run", systemText(r));
     }
 }
 
@@ -337,16 +429,12 @@ namespace
 {
 
 ServingConfig
-servingConfig(EngineKind engine, unsigned threads,
-              unsigned sim_cache)
+servingConfig(unsigned threads, unsigned sim_cache)
 {
     ServingConfig cfg;
     cfg.seed = 11;
     cfg.offeredRequests = 18;
     cfg.meanInterarrival = 80'000;
-    cfg.system.engine = engine;
-    cfg.system.noc.engine = engine;
-    cfg.system.dram.engine = engine;
     cfg.system.numThreads = threads;
     cfg.system.simCacheEntries = sim_cache;
     return cfg;
@@ -370,48 +458,21 @@ runServing(const Workload &w, ServingConfig cfg,
 TEST(EngineDifferential, ServingIdenticalAcrossThreadsAndCache)
 {
     Workload w;
-    auto [ref, ref_json] =
-        runServing(w, servingConfig(EngineKind::Event, 1, 0));
+    auto [ref, ref_json] = runServing(w, servingConfig(1, 0));
+    expectGolden("serving_stats", ref_json);
 
     for (unsigned threads : {1u, 8u}) {
         for (unsigned entries : {0u, 64u}) {
             SCOPED_TRACE("threads " + std::to_string(threads)
                          + " cache " + std::to_string(entries));
             TimingResultCache cache(entries);
-            TimingResultCache *cp = entries ? &cache : nullptr;
-            auto [t, tj] = runServing(
-                w, servingConfig(EngineKind::Ticked, threads,
-                                 entries), cp);
-            auto [e, ej] = runServing(
-                w, servingConfig(EngineKind::Event, threads,
-                                 entries), cp);
-            expectIdenticalResults(t, ref, "ticked vs reference");
-            expectIdenticalResults(e, ref, "event vs reference");
-            // With entries > 0 the event run replays entries the
-            // ticked run wrote (the key pins the engine knob), and
-            // the serving registry dump still matches byte for
-            // byte — simulated results are cache-oblivious by the
-            // PR 6 contract.
-            EXPECT_EQ(tj, ej);
+            auto [r, rj] = runServing(
+                w, servingConfig(threads, entries),
+                entries ? &cache : nullptr);
+            expectIdenticalResults(r, ref, "run vs reference");
+            EXPECT_EQ(rj, ref_json);
         }
     }
-}
-
-TEST(EngineDifferential, ServingCacheWarmedByOtherEngineReplays)
-{
-    // A cache warmed entirely by a ticked run must hit (not fork)
-    // under the event engine: the timing key pins the engine knob.
-    Workload w;
-    TimingResultCache cache(64);
-    auto [t, tj] = runServing(
-        w, servingConfig(EngineKind::Ticked, 1, 64), &cache);
-    uint64_t insertions = cache.insertions();
-    ASSERT_GT(insertions, 0u);
-    auto [e, ej] = runServing(
-        w, servingConfig(EngineKind::Event, 1, 64), &cache);
-    EXPECT_EQ(cache.insertions(), insertions)
-        << "event run forked new cache entries";
-    expectIdenticalResults(t, e, "ticked-warmed vs event-replayed");
 }
 
 TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
@@ -419,29 +480,14 @@ TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
     Workload w;
     for (unsigned chips : {3u, 4u}) {
         SCOPED_TRACE("chips " + std::to_string(chips));
-        ServingConfig tc = servingConfig(EngineKind::Ticked, 1, 0);
-        tc.chips = chips;
-        ServingConfig ec = servingConfig(EngineKind::Event, 1, 0);
-        ec.chips = chips;
-
-        SimContext tctx, ectx;
-        auto tcl = w.cluster(std::move(tc));
-        auto ecl = w.cluster(std::move(ec));
-        tcl->attach(tctx);
-        ecl->attach(ectx);
-        ClusterResult t = tcl->run();
-        ClusterResult e = ecl->run();
-
-        expectIdenticalResults(t.aggregate, e.aggregate,
-                               "aggregate");
-        ASSERT_EQ(t.shards.size(), e.shards.size());
-        for (size_t i = 0; i < t.shards.size(); ++i) {
-            std::string label = "shard " + std::to_string(i);
-            expectIdenticalResults(t.shards[i], e.shards[i],
-                                   label.c_str());
-        }
-        EXPECT_EQ(tctx.statsToJson().dump(),
-                  ectx.statsToJson().dump());
+        ServingConfig cfg = servingConfig(1, 0);
+        cfg.chips = chips;
+        SimContext ctx;
+        auto cl = w.cluster(std::move(cfg));
+        cl->attach(ctx);
+        cl->run();
+        expectGolden("cluster" + std::to_string(chips) + "_stats",
+                     ctx.statsToJson().dump());
     }
 }
 
@@ -449,13 +495,13 @@ TEST(EngineDifferential, HostSecondsOptInOnly)
 {
     Workload w;
     SimContext ctx;
-    auto sim = w.simulator(servingConfig(EngineKind::Event, 1, 0));
+    auto sim = w.simulator(servingConfig(1, 0));
     sim->attachTo(ctx);
     sim->run();
 
-    // Default dump: no hostSeconds anywhere (the differential
-    // suites byte-compare these dumps; wall-clock would break
-    // them).
+    // Default dump: no hostSeconds anywhere (golden files and the
+    // differentials byte-compare these dumps; wall-clock would
+    // break them).
     std::string plain = ctx.statsToJson().dump();
     EXPECT_EQ(plain.find("hostSeconds"), std::string::npos);
 

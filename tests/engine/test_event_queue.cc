@@ -3,9 +3,8 @@
  * Unit suite for the shared discrete-event kernel
  * (src/engine/event_queue.hh, DESIGN.md §15): the deterministic
  * (cycle, priority, sequence) ordering key, clock/pump semantics
- * (step/runUntil/drain/nextAt/now), self-scheduling handler
- * chains, and the `--engine` selector parsing shared by the CLI
- * and the MAICC_ENGINE environment default.
+ * (step/runUntil/drain/nextAt/now), and self-scheduling handler
+ * chains.
  */
 
 #include <string>
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/engine_kind.hh"
 #include "engine/event_queue.hh"
 
 using namespace maicc;
@@ -135,22 +133,4 @@ TEST(EventQueue, ClearDropsPendingButKeepsCounters)
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(eq.eventsRun(), 1u);
     EXPECT_EQ(eq.now(), Cycles(1));
-}
-
-TEST(EngineKind, ParseAndName)
-{
-    EngineKind k = EngineKind::Ticked;
-    EXPECT_TRUE(parseEngine("event", k));
-    EXPECT_EQ(k, EngineKind::Event);
-    EXPECT_TRUE(parseEngine("ticked", k));
-    EXPECT_EQ(k, EngineKind::Ticked);
-    EXPECT_STREQ(engineName(EngineKind::Event), "event");
-    EXPECT_STREQ(engineName(EngineKind::Ticked), "ticked");
-
-    // Bad input: rejected, output untouched.
-    k = EngineKind::Event;
-    EXPECT_FALSE(parseEngine("tick", k));
-    EXPECT_FALSE(parseEngine("", k));
-    EXPECT_FALSE(parseEngine("EVENT", k));
-    EXPECT_EQ(k, EngineKind::Event);
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "common/seeded_test.hh"
 #include "mapping/allocation.hh"
+#include "mapping/placement.hh"
 #include "nn/network.hh"
 
 using namespace maicc;
@@ -178,4 +181,27 @@ TEST(Allocation, DcCostScalesWithChannels)
     // (the Fig. 9 "wait ifmap" source).
     Cycles dram64 = dcIterCost(layerByName(net, "conv1_1"), true);
     EXPECT_GT(dram64, 64u * dramByteLoadCycles);
+}
+
+TEST(Allocation, LongestPossibleRunTracksMarkDead)
+{
+    // longestPossibleRun() is cached and recomputed only in
+    // markDead(); after every step of a seeded random core-loss
+    // sequence it must equal a brute-force scan of the dead slots.
+    for (uint64_t seed : testseed::seeds({1, 2, 3})) {
+        MAICC_SEED_TRACE(seed);
+        Rng rng(seed);
+        RegionAllocator region;
+        EXPECT_EQ(region.longestPossibleRun(), region.totalNodes());
+        for (unsigned step = 0; step < 120; ++step) {
+            region.markDead(unsigned(rng.below(region.totalNodes())));
+            unsigned best = 0, run = 0;
+            for (unsigned s = 0; s < region.totalNodes(); ++s) {
+                run = region.dead(s) ? 0 : run + 1;
+                best = std::max(best, run);
+            }
+            ASSERT_EQ(region.longestPossibleRun(), best)
+                << "after step " << step;
+        }
+    }
 }

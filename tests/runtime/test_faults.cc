@@ -4,9 +4,9 @@
  * serving-tier recovery machinery (src/fault/, runtime/recovery.cc,
  * DESIGN.md §16):
  *
- *  - a recovery-active run with no fault ever firing is bitwise
- *    identical to the fault-free fast path (the recovery loop is a
- *    strict superset of the legacy event loop's semantics);
+ *  - a recovery-active run with no fault ever firing (timeouts
+ *    engaged but never hit) is bitwise identical to a fault-free
+ *    run of the same serving loop;
  *  - a chip fail-stop mid-run recovers via cross-chip failover:
  *    zero lost requests, the conservation rule green, the dead
  *    shard excluded from every later dispatch;
