@@ -121,9 +121,8 @@ main(int argc, char **argv)
     // are identical at any --threads=N (DESIGN.md).
     HostScheduler host(210, g_scfg.numThreads);
     host.addTask({"camera", &detector.net, &detector.weights,
-                  &detector.input, 3.0}); // camera is hotter
-    host.addTask({"radar", &policy.net, &policy.weights,
-                  &policy.input, 1.0});
+                  3.0}); // camera is hotter
+    host.addTask({"radar", &policy.net, &policy.weights, 1.0});
     HostScheduleResult hs = host.schedule();
     std::printf("\nHost-scheduled partition (demand-weighted):\n");
     for (const auto &ra : hs.regions) {

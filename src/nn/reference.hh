@@ -40,6 +40,19 @@ ReferenceResult referenceRun(const Network &net,
                              const std::vector<Weights4> &weights,
                              const Tensor3 &input);
 
+/**
+ * The repository's one int8 convolution kernel (Conv and Linear
+ * layers): writes output rows [@p oh_begin, @p oh_end) of @p out,
+ * which must already have the layer's output shape. Each row
+ * depends only on the read-only inputs, so disjoint row ranges may
+ * run concurrently, and integer sums make any split bitwise equal
+ * to the whole-layer call. referenceLayer calls it for all rows;
+ * MaiccSystem::run shards it by rows over its ThreadPool.
+ */
+void referenceConvRows(const LayerSpec &l, const Weights4 &w,
+                       const Tensor3 &in, const Tensor3 *residual,
+                       Tensor3 &out, int oh_begin, int oh_end);
+
 /** Compute one layer given its (resolved) inputs. */
 Tensor3 referenceLayer(const LayerSpec &l, const Weights4 &w,
                        const Tensor3 &input, const Tensor3 *residual);

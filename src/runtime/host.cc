@@ -10,7 +10,7 @@ namespace maicc
 size_t
 HostScheduler::addTask(ModelTask task)
 {
-    maicc_assert(task.net && task.weights && task.input);
+    maicc_assert(task.net && task.weights);
     maicc_assert(task.demand > 0.0);
     tasks.push_back(std::move(task));
     return tasks.size() - 1;
@@ -36,7 +36,7 @@ simulateLatencyMs(const ModelTask &task, unsigned cores)
     MaiccSystem sys(*task.net, *task.weights);
     MappingPlan plan =
         planMapping(*task.net, Strategy::Heuristic, cores);
-    return sys.run(plan, *task.input).latencyMs();
+    return sys.runTiming(plan).latencyMs();
 }
 
 } // namespace

@@ -34,7 +34,6 @@ struct ModelTask
     std::string name;
     const Network *net = nullptr;
     const std::vector<Weights4> *weights = nullptr;
-    const Tensor3 *input = nullptr;
     /** Relative request rate (for throughput weighting). */
     double demand = 1.0;
 };

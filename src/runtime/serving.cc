@@ -130,7 +130,7 @@ ServingSimulator::systemFor(size_t model)
 size_t
 ServingSimulator::addModel(ServedModel m)
 {
-    maicc_assert(m.net && m.weights && m.input);
+    maicc_assert(m.net && m.weights);
     maicc_assert(m.mixWeight > 0.0);
     models.push_back(std::move(m));
     minCoresCache.push_back(
@@ -221,9 +221,9 @@ ServingSimulator::profile(size_t model, unsigned cores)
     if (it != profiles.end())
         return it->second;
 
-    // One isolated inference under this region budget, through the
-    // full functional+timing system. The result is a pure function
-    // of (model, cores) — the registered input is fixed — so it is
+    // One isolated inference under this region budget, timed by
+    // the system's timing pass alone (no tensor is computed). The
+    // result is a pure function of (model, cores), so it is
     // simulated once and replayed for every later request, which
     // keeps a many-request sweep tractable without changing any
     // outcome. The model's cached system is reset() first, which
@@ -254,7 +254,7 @@ ServingSimulator::profile(size_t model, unsigned cores)
         }
     }
 
-    RunResult rr = sys.run(plan, *m.input);
+    RunResult rr = sys.runTiming(plan);
     if (cache)
         cache->insert(tkey, sys.captureCachedRun(rr));
 

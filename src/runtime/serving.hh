@@ -20,9 +20,10 @@
  * reported alongside the global metrics.
  *
  * The event loop (runServingLoop, recovery.hh) is a serial
- * discrete-event simulation in integer cycles; every per-request service time comes from the existing
- * functional+timing system (MaiccSystem::run under the request's
- * granted core budget), so the PR 1 determinism contract carries
+ * discrete-event simulation in integer cycles; every per-request
+ * service time comes from the system's timing pass
+ * (MaiccSystem::runTiming under the request's granted core
+ * budget), so the PR 1 determinism contract carries
  * over: a fixed seed produces bitwise-identical results at any
  * SystemConfig::numThreads (see DESIGN.md "Request-driven
  * serving").
@@ -62,6 +63,11 @@ struct ServedModel
     std::string name;
     const Network *net = nullptr;
     const std::vector<Weights4> *weights = nullptr;
+    /**
+     * A sample input for callers that also run the model
+     * functionally. Optional: service profiles come from the
+     * timing pass alone, which never reads it.
+     */
     const Tensor3 *input = nullptr;
 
     /** Relative share of the arrival mix (Poisson mode). */

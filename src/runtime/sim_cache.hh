@@ -4,9 +4,9 @@
  * §13).
  *
  * ServingSimulator::profile() simulates one isolated inference per
- * (model, region size) pair through the full functional+timing
- * MaiccSystem — by far the dominant cost of a serving sweep, and a
- * pure function of (network, placement shape, batch, SystemConfig).
+ * (model, region size) pair through MaiccSystem::runTiming — the
+ * dominant cost of a serving sweep's profile misses, and a pure
+ * function of (network, placement shape, batch, SystemConfig).
  * The TimingResultCache memoizes that function *across* simulator
  * instances: a sweep that builds a fresh ServingSimulator per load
  * point re-derives identical profiles at every point, and with the
@@ -99,7 +99,8 @@ TimingKey makeTimingKey(const Network &net, const MappingPlan &plan,
  * LRU cache of TimingKey → CachedRun. See the file comment for the
  * determinism contract. Not thread-safe: the serving event loop is
  * serial, and worker threads never touch the cache (parallelism
- * lives *inside* MaiccSystem::run, below the memoization point).
+ * lives *inside* MaiccSystem::runTiming, below the memoization
+ * point).
  */
 class TimingResultCache : public SimComponent
 {

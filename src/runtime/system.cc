@@ -95,7 +95,6 @@ MaiccSystem::reset()
     // indistinguishable from a freshly constructed one.
     llcModel.reset();
     residualTimings.clear();
-    resultInput = Tensor3{};
     runsCompleted = 0;
     totalActivity = ActivityCounts{};
     lastRunCycles = 0;
@@ -161,12 +160,11 @@ MaiccSystem::applyCachedRun(const CachedRun &run)
 }
 
 void
-MaiccSystem::runPool(size_t layer_idx, const Tensor3 &input,
+MaiccSystem::runPool(size_t layer_idx,
                      const std::vector<Cycles> &input_ready,
-                     LayerTiming &timing_out, Tensor3 &output_out)
+                     LayerTiming &timing_out)
 {
     const LayerSpec &l = net.layer(layer_idx);
-    output_out = referenceLayer(l, Weights4{}, input, nullptr);
     int out_h = l.outH(), out_w = l.outW();
     timing_out.pixelReady.assign(size_t(out_h) * out_w, 0);
     Cycles pool_cost = Cycles(l.R) * l.S + 10;
@@ -195,10 +193,9 @@ LayerRunStats
 MaiccSystem::runLayer(const Segment &seg,
                       const SegmentPlacement &placement,
                       const LayerMapping &lm, Cycles seg_start,
-                      const Tensor3 &input, Addr input_addr,
+                      Addr input_addr,
                       const std::vector<Cycles> &input_ready,
-                      LayerTiming &timing_out, Tensor3 &output_out,
-                      RunResult &result)
+                      LayerTiming &timing_out, RunResult &result)
 {
     const LayerSpec &l = net.layer(lm.layerIdx);
     const NodeAllocation &alloc = lm.alloc;
@@ -208,8 +205,6 @@ MaiccSystem::runLayer(const Segment &seg,
     unsigned u = alloc.unitsPerNode;
     bool from_dram = !inputInsideSegment(net, seg, lm.layerIdx);
 
-    maicc_assert(input.H == l.inH && input.W == l.inW
-                 && input.C == l.inC);
     size_t in_pixels = size_t(l.inH) * l.inW;
     maicc_assert(input_ready.size() == in_pixels);
 
@@ -244,7 +239,7 @@ MaiccSystem::runLayer(const Segment &seg,
     // --- Compute-core chain: single-buffered pipeline. ---
     // Each core's start time depends on its predecessor's finish
     // time (back-pressure), so the chain is a serial wavefront —
-    // O(chain x pixels), negligible next to the functional MACs.
+    // O(chain x pixels).
     unsigned mid = chain / 2;
     std::vector<Cycles> done(in_pixels);
     double wait_sum = 0;
@@ -275,17 +270,10 @@ MaiccSystem::runLayer(const Segment &seg,
     }
 
     // --- Residual availability (for the fused add). ---
-    const Tensor3 *residual = nullptr;
+    // The network input is ready from the start; it bounds nothing.
     const std::vector<Cycles> *residual_ready = nullptr;
-    std::vector<Cycles> zero_ready;
-    if (l.addFrom == -1) {
-        residual = &resultInput; // set by run()
-        zero_ready.assign(out_pixels, 0);
-        residual_ready = &zero_ready;
-    } else if (l.addFrom >= 0) {
-        residual = &result.layerOutputs[l.addFrom];
+    if (l.addFrom >= 0)
         residual_ready = &residualTimings[l.addFrom].pixelReady;
-    }
 
     // --- Output-pixel completion times. ---
     timing_out.pixelReady.assign(out_pixels, 0);
@@ -326,75 +314,20 @@ MaiccSystem::runLayer(const Segment &seg,
         last_out = std::max(last_out, c);
     stats.lastOutput = last_out;
 
-    // --- Functional compute, partitioned exactly as mapped. ---
-    // Parallel node stepping: every unit (one compute node's
-    // filter fragment) contributes to every output pixel, but each
-    // *output row* is written by exactly one shard, so sharding by
-    // rows gives each worker a disjoint slice of `acc` and
-    // `output_out` — no merge buffers, and per-pixel accumulation
-    // visits units in the same order as the serial loop, so the
-    // int32 partial-sum merge (the NoC merge pass) is bitwise
-    // identical at any thread count. Per-shard MAC counters are
-    // the per-thread stat accumulators, summed in shard order at
-    // the barrier.
-    std::vector<int32_t> acc(out_pixels * l.outC, 0);
-    output_out = Tensor3(out_h, out_w, l.outC);
-    const Weights4 &w = weights[lm.layerIdx];
-    size_t f_shards = defaultShards(size_t(out_h));
-    std::vector<uint64_t> shard_macs(f_shards, 0);
-    pool->forShards(size_t(out_h), [&](size_t shard,
-                                       ShardRange rows) {
-        uint64_t macs = 0;
-        for (unsigned unit = 0; unit < units; ++unit) {
-            unsigned m = unit / splits;
-            unsigned si = unit % splits;
-            int c_lo = int(si) * 256;
-            int c_hi = std::min(l.inC, c_lo + 256);
-            for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    int32_t sum = 0;
-                    for (int r = 0; r < l.R; ++r) {
-                        int ih = int(oh) * l.stride + r - l.pad;
-                        if (ih < 0 || ih >= l.inH)
-                            continue;
-                        for (int s = 0; s < l.S; ++s) {
-                            int iw = ow * l.stride + s - l.pad;
-                            if (iw < 0 || iw >= l.inW)
-                                continue;
-                            ++macs;
-                            const int8_t *in_px =
-                                &input.data[input.index(ih, iw, 0)];
-                            const int8_t *w_px =
-                                &w.data[w.index(m, r, s, 0)];
-                            for (int c = c_lo; c < c_hi; ++c) {
-                                sum += int32_t(in_px[c]) * w_px[c];
-                            }
-                        }
-                    }
-                    acc[(oh * out_w + ow) * l.outC + m] += sum;
-                }
-            }
+    // --- MAC count, closed form. ---
+    // One MAC per (unit, output pixel, valid filter tap); the valid
+    // taps of a pixel factor into valid rows x valid columns.
+    auto valid_taps = [&](int out_n, int in_n, int k) {
+        uint64_t taps = 0;
+        for (int o = 0; o < out_n; ++o) {
+            int i0 = o * l.stride - l.pad;
+            taps += std::max(0, std::min(k, in_n - i0)
+                                    - std::max(0, -i0));
         }
-        // Aux functions (requantize / ReLU / residual add) run on
-        // the same rows once all of the shard's units finished.
-        for (size_t oh = rows.begin; oh < rows.end; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                for (int m = 0; m < l.outC; ++m) {
-                    int32_t v = acc[(oh * out_w + ow) * l.outC + m];
-                    if (residual) {
-                        v += int32_t(residual->at(int(oh), ow, m))
-                            << l.shift;
-                    }
-                    output_out.at(int(oh), ow, m) =
-                        requantize(v, l.shift, l.relu);
-                }
-            }
-        }
-        shard_macs[shard] = macs;
-    });
-    uint64_t mac_count = 0;
-    for (uint64_t c : shard_macs)
-        mac_count += c;
+        return taps;
+    };
+    uint64_t mac_count = uint64_t(units) * valid_taps(out_h, l.inH, l.R)
+        * valid_taps(out_w, l.inW, l.S);
 
     // --- Activity accounting. ---
     // Mesh-shared state: the merged counters and the LLC model are
@@ -425,41 +358,44 @@ MaiccSystem::runLayer(const Segment &seg,
 }
 
 RunResult
-MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
-                 Cycles start_at)
+MaiccSystem::runTiming(const MappingPlan &plan, Cycles start_at)
 {
     ScopedHostTimer host_timer(*this);
     RunResult result;
-    result.layerOutputs.resize(net.size());
     residualTimings.assign(net.size(), LayerTiming{});
-    resultInput = input;
 
+    // The network input has layer 0's input shape.
+    const LayerSpec &first = net.layer(0);
+    maicc_assert(first.inputFrom < 0);
     std::vector<bool> computed(net.size(), false);
     std::vector<Cycles> input_ready_net(
-        size_t(input.H) * input.W, start_at);
+        size_t(first.inH) * first.inW, start_at);
 
     Cycles prev_start = start_at;
     Cycles prev_end = start_at;
     Addr addr_cursor = 0x80000000u;
     Addr input_addr_base = addr_cursor;
-    addr_cursor += Addr(input.data.size());
+    addr_cursor += Addr(first.inH) * first.inW * first.inC;
     std::vector<Addr> layer_addr(net.size(), 0);
+    // Bytes of a layer's int8 output fmap (pools keep inC).
+    auto output_bytes = [&](size_t li) {
+        const LayerSpec &l = net.layer(li);
+        return Addr(l.outH()) * l.outW()
+            * (l.isCompute() ? l.outC : l.inC);
+    };
 
     struct Resolved
     {
-        const Tensor3 *tensor;
         const std::vector<Cycles> *ready;
         Addr addr;
     };
-    // Resolve an input tensor + per-pixel readiness for a layer.
+    // Resolve per-pixel input readiness + address for a layer.
     auto resolve = [&](size_t li) -> Resolved {
         const LayerSpec &l = net.layer(li);
         if (l.inputFrom < 0)
-            return {&resultInput, &input_ready_net,
-                    input_addr_base};
+            return {&input_ready_net, input_addr_base};
         maicc_assert(computed[l.inputFrom]);
-        return {&result.layerOutputs[l.inputFrom],
-                &residualTimings[l.inputFrom].pixelReady,
+        return {&residualTimings[l.inputFrom].pixelReady,
                 layer_addr[l.inputFrom]};
     };
 
@@ -471,12 +407,9 @@ MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
                 continue;
             if (l.inputFrom >= 0 && !computed[l.inputFrom])
                 continue;
-            Resolved in = resolve(i);
-            runPool(i, *in.tensor, *in.ready, residualTimings[i],
-                    result.layerOutputs[i]);
+            runPool(i, *resolve(i).ready, residualTimings[i]);
             layer_addr[i] = addr_cursor;
-            addr_cursor +=
-                Addr(result.layerOutputs[i].data.size());
+            addr_cursor += output_bytes(i);
             computed[i] = true;
         }
     };
@@ -507,20 +440,18 @@ MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
                 ensure_pools(lm.layerIdx);
             Resolved in = resolve(lm.layerIdx);
             LayerRunStats ls = runLayer(
-                seg, placement, lm, seg_stats.start, *in.tensor,
-                in.addr, *in.ready, residualTimings[lm.layerIdx],
-                result.layerOutputs[lm.layerIdx], result);
+                seg, placement, lm, seg_stats.start, in.addr,
+                *in.ready, residualTimings[lm.layerIdx], result);
             computed[lm.layerIdx] = true;
             layer_addr[lm.layerIdx] = addr_cursor;
-            addr_cursor +=
-                Addr(result.layerOutputs[lm.layerIdx].data.size());
+            addr_cursor += output_bytes(lm.layerIdx);
             seg_end = std::max(seg_end, ls.lastOutput);
             seg_stats.layers.push_back(std::move(ls));
         }
         // Segment outputs written back to DRAM.
         for (const auto &lm : seg.layers) {
-            result.activity.dramAccesses += divCeil(
-                result.layerOutputs[lm.layerIdx].data.size(), 64);
+            result.activity.dramAccesses +=
+                divCeil(output_bytes(lm.layerIdx), 64);
         }
         seg_stats.end = seg_end;
         prev_start = seg_stats.start;
@@ -539,6 +470,39 @@ MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
     ++runsCompleted;
     totalActivity += result.activity;
     lastRunCycles = result.totalCycles;
+    return result;
+}
+
+RunResult
+MaiccSystem::run(const MappingPlan &plan, const Tensor3 &input,
+                 Cycles start_at)
+{
+    RunResult result = runTiming(plan, start_at);
+    ScopedHostTimer host_timer(*this);
+    // The functional pass: layers in graph order, each conv's
+    // output rows sharded over the pool. Rows are shard-private and
+    // integer sums are order-free, so the tensors are bitwise equal
+    // to referenceRun at any thread count.
+    std::vector<Tensor3> &outs = result.layerOutputs;
+    outs.resize(net.size());
+    for (size_t i = 0; i < net.size(); ++i) {
+        const LayerSpec &l = net.layer(i);
+        const Tensor3 &in = l.inputFrom < 0 ? input : outs[l.inputFrom];
+        if (!l.isCompute()) {
+            outs[i] = referenceLayer(l, weights[i], in, nullptr);
+            continue;
+        }
+        const Tensor3 *residual = nullptr;
+        if (l.addFrom == -1)
+            residual = &input;
+        else if (l.addFrom >= 0)
+            residual = &outs[l.addFrom];
+        Tensor3 &out = outs[i] = Tensor3(l.outH(), l.outW(), l.outC);
+        pool->forShards(size_t(out.H), [&](size_t, ShardRange rows) {
+            referenceConvRows(l, weights[i], in, residual, out,
+                              int(rows.begin), int(rows.end));
+        });
+    }
     return result;
 }
 

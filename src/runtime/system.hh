@@ -12,21 +12,22 @@
  * explicitly as timing recurrences over pixel-vector tokens with
  * single-buffer back-pressure between chained cores.
  *
- * The simulation is also *functional*: every compute core's filter
- * fragments produce real int8 partial sums, partial sums are
- * merged across channel splits, and auxiliary functions
- * (ReLU / requantization / residual add / pooling) run exactly as
- * in nn/reference.hh — the final fmaps are compared bit-exactly
- * against the reference executor in the tests.
+ * Timing is split from function, as in the paper's analytical
+ * system level: runTiming() computes cycles, segments, the Fig. 9
+ * per-core breakdown, activity, LLC/DRAM accounting and stats from
+ * layer geometry alone — no tensor is read or allocated, and the
+ * MAC count is closed-form. run() is runTiming() followed by a
+ * functional forward pass through nn's one int8 conv kernel
+ * (referenceConvRows), whose fmaps the tests compare bit-exactly
+ * against referenceRun. Serving profiles and host latency probes
+ * need timing only and call runTiming().
  *
- * Stepping is parallel: between NoC synchronization points each
- * node's CMem and local memory evolve independently, so the
- * functional compute and per-pixel completion passes are sharded
- * over a ThreadPool (SystemConfig::numThreads) and merged at a
- * barrier before the mesh-shared NoC/LLC/DRAM accounting. See
- * DESIGN.md "Concurrency model" for the ownership rules and the
- * determinism contract (bitwise-identical results at any thread
- * count).
+ * Stepping is parallel: per-pixel completion times and the conv's
+ * output rows are sharded over a ThreadPool
+ * (SystemConfig::numThreads) and merged at a barrier before the
+ * mesh-shared NoC/LLC/DRAM accounting. See DESIGN.md "Concurrency
+ * model" for the ownership rules and the determinism contract
+ * (bitwise-identical results at any thread count).
  */
 
 #ifndef MAICC_RUNTIME_SYSTEM_HH
@@ -153,9 +154,11 @@ struct RunResult
     ActivityCounts activity;
     std::vector<Tensor3> layerOutputs; ///< one per network layer
 
+    /** The network's final fmap; run() only, not runTiming(). */
     const Tensor3 &
     output() const
     {
+        maicc_assert(!layerOutputs.empty());
         return layerOutputs.back();
     }
 
@@ -181,19 +184,15 @@ struct RunResult
 };
 
 /**
- * The memoizable outcome of one `MaiccSystem::run` on a reset
- * system: everything a later identical run would (re)produce except
- * the functional tensors — total cycles, the per-segment/per-layer
- * timing breakdown, activity counts, the derived energy split, and
- * the stat-group deltas the run leaves behind (the system's own
- * stats plus its LLC child's). `captureCachedRun` fills one after a
+ * The memoizable outcome of one `MaiccSystem::runTiming` on a
+ * reset system: everything a later identical run would (re)produce
+ * — total cycles, the per-segment/per-layer timing breakdown,
+ * activity counts, the derived energy split, and the stat-group
+ * deltas the run leaves behind (the system's own stats plus its
+ * LLC child's). `captureCachedRun` fills one after a
  * run; `applyCachedRun` replays it onto a reset system so that a
  * later stats dump is byte-identical to one from a real run
  * (DESIGN.md §13, pinned by tests/runtime/test_sim_cache.cc).
- *
- * Functional outputs are deliberately *not* cached: tensors are the
- * bulk of a run's memory, and the serving layer (the cache's one
- * client) consumes timing only.
  */
 struct CachedRun
 {
@@ -210,12 +209,12 @@ struct CachedRun
 
 /**
  * The MAICC array running one network under one mapping plan.
- * Instantiate per network; run() may be called repeatedly (e.g.
- * by the multi-DNN driver) with independent inputs. reset()
- * restores the just-constructed state — the LLC filter model is
- * the only component that carries state between run() calls — so
- * a reset system reproduces a fresh one bitwise (pinned by
- * tests/runtime/test_reset.cc).
+ * Instantiate per network; run() and runTiming() may be called
+ * repeatedly (e.g. by the multi-DNN driver) with independent
+ * inputs. reset() restores the just-constructed state — the LLC
+ * filter model is the only component that carries state between
+ * runs — so a reset system reproduces a fresh one bitwise (pinned
+ * by tests/runtime/test_reset.cc).
  */
 class MaiccSystem : public SimComponent
 {
@@ -224,7 +223,16 @@ class MaiccSystem : public SimComponent
                 const std::vector<Weights4> &weights,
                 SystemConfig cfg = SystemConfig{});
 
-    /** Simulate one inference; @p start_at offsets all times. */
+    /**
+     * Time one inference from layer geometry alone; @p start_at
+     * offsets all times. Leaves RunResult::layerOutputs empty.
+     */
+    RunResult runTiming(const MappingPlan &plan, Cycles start_at = 0);
+
+    /**
+     * runTiming(), then compute every layer's output fmap from
+     * @p input into RunResult::layerOutputs.
+     */
     RunResult run(const MappingPlan &plan, const Tensor3 &input,
                   Cycles start_at = 0);
 
@@ -236,8 +244,8 @@ class MaiccSystem : public SimComponent
 
     /**
      * Snapshot the outcome of the run that produced @p rr (which
-     * must be the only run since the last reset()) into a
-     * replayable CachedRun for the timing-result cache.
+     * must be the only run or runTiming since the last reset())
+     * into a replayable CachedRun for the timing-result cache.
      */
     CachedRun captureCachedRun(const RunResult &rr);
 
@@ -266,21 +274,19 @@ class MaiccSystem : public SimComponent
         std::vector<Cycles> pixelReady;
     };
 
-    /** Simulate one layer's node group inside a segment. */
+    /** Time one layer's node group inside a segment. */
     LayerRunStats runLayer(const Segment &seg,
                            const SegmentPlacement &placement,
                            const LayerMapping &lm,
-                           Cycles seg_start,
-                           const Tensor3 &input, Addr input_addr,
+                           Cycles seg_start, Addr input_addr,
                            const std::vector<Cycles> &input_ready,
                            LayerTiming &timing_out,
-                           Tensor3 &output_out,
                            RunResult &result);
 
-    /** Apply a pooling layer (runs on the consumer DC). */
-    void runPool(size_t layer_idx, const Tensor3 &input,
+    /** Time a pooling layer (runs on the consumer DC). */
+    void runPool(size_t layer_idx,
                  const std::vector<Cycles> &input_ready,
-                 LayerTiming &timing_out, Tensor3 &output_out);
+                 LayerTiming &timing_out);
 
     const Network &net;
     const std::vector<Weights4> &weights;
@@ -293,9 +299,8 @@ class MaiccSystem : public SimComponent
     ActivityCounts totalActivity;
     Cycles lastRunCycles = 0;
 
-    // Per-run state (run() resets these).
+    // Per-run state (runTiming() resets it).
     std::vector<LayerTiming> residualTimings;
-    Tensor3 resultInput;
 };
 
 } // namespace maicc

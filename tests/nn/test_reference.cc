@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/seeded_test.hh"
 #include "nn/reference.hh"
 
 using namespace maicc;
@@ -130,6 +131,62 @@ TEST(Reference, ResidualAddScalesWithShift)
     l.addFrom = 0;
     Tensor3 out = referenceLayer(l, w, in, &res);
     EXPECT_EQ(out.at(0, 0, 0), 7);
+}
+
+TEST(Reference, ConvRowsComposeToWholeLayer)
+{
+    // The conv kernel over any split of the output rows writes the
+    // same fmap as one whole-layer call: a 3x3 stride-1 layer with
+    // padding, a stride-2 downsample and a channel-split 1x1 layer
+    // (outC not a multiple of the kernel's filter block), each with
+    // and without a residual.
+    uint64_t seed = testseed::seedOrDefault(2024);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<LayerSpec> layers(3);
+    layers[0].inC = 64;
+    layers[0].inH = layers[0].inW = 9;
+    layers[0].outC = 32;
+    layers[0].R = layers[0].S = 3;
+    layers[0].pad = 1;
+    layers[0].relu = true;
+    layers[1].inC = 16;
+    layers[1].inH = layers[1].inW = 10;
+    layers[1].outC = 8;
+    layers[1].R = layers[1].S = 3;
+    layers[1].stride = 2;
+    layers[1].pad = 1;
+    layers[2].inC = 300;
+    layers[2].inH = layers[2].inW = 5;
+    layers[2].outC = 7;
+    for (LayerSpec &l : layers) {
+        Weights4 w(l.outC, l.R, l.S, l.inC);
+        w.randomize(rng);
+        Tensor3 in(l.inH, l.inW, l.inC);
+        in.randomize(rng);
+        Tensor3 res(l.outH(), l.outW(), l.outC);
+        res.randomize(rng);
+        for (const Tensor3 *residual : {(const Tensor3 *)nullptr,
+                                        (const Tensor3 *)&res}) {
+            Tensor3 whole = referenceLayer(l, w, in, residual);
+            for (int trial = 0; trial < 8; ++trial) {
+                Tensor3 out(l.outH(), l.outW(), l.outC);
+                int begin = 0;
+                while (begin < out.H) {
+                    int end = begin + 1
+                        + int(rng.range(0, out.H - begin - 1));
+                    referenceConvRows(l, w, in, residual, out, begin,
+                                      end);
+                    begin = end;
+                }
+                EXPECT_EQ(out.data, whole.data)
+                    << "layer " << l.inC << "x" << l.R << "x" << l.S
+                    << " trial " << trial
+                    << (residual ? " with" : " without")
+                    << " residual";
+            }
+        }
+    }
 }
 
 TEST(Reference, AvgPoolTruncates)

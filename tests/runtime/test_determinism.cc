@@ -141,10 +141,8 @@ TEST(Determinism, MultiDnnScheduleIdenticalAcrossThreadCounts)
 
     auto schedule = [&](unsigned threads) {
         HostScheduler host(210, threads);
-        host.addTask({"camera", &camera.net, &camera.weights,
-                      &camera.input, 3.0});
-        host.addTask({"radar", &radar.net, &radar.weights,
-                      &radar.input, 1.0});
+        host.addTask({"camera", &camera.net, &camera.weights, 3.0});
+        host.addTask({"radar", &radar.net, &radar.weights, 1.0});
         return host.schedule();
     };
 

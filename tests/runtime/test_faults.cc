@@ -148,8 +148,9 @@ TEST(Faults, ChipFailStopFailsOverWithNoLostRequests)
 
     // The dead shard takes nothing after the fault.
     for (const RequestRecord &q : agg.requests) {
-        if (!q.rejected && !q.shed && q.start >= e.cycle)
+        if (!q.rejected && !q.shed && q.start >= e.cycle) {
             EXPECT_EQ(q.shard, 0u) << "request " << q.id;
+        }
     }
 
     // Availability stats publish on the aggregate and the
@@ -334,8 +335,9 @@ TEST(Faults, InjectorScheduleIsAPureFunctionOfConfig)
     bool found = false;
     for (size_t i = 0; i < a.schedule().size(); ++i) {
         const FaultEvent &x = a.schedule()[i];
-        if (i)
+        if (i) {
             EXPECT_GE(x.cycle, a.schedule()[i - 1].cycle);
+        }
         EXPECT_LT(x.chip, 2u);
         found = found
             || (x.kind == FaultKind::CoreLoss && x.cycle == 123

@@ -14,18 +14,12 @@ struct HostFixture
           cnn_b(buildSmallCnn(16, 16, 64)),
           resnet(buildResNet18()),
           wa(randomWeights(cnn_a, 1)), wb(randomWeights(cnn_b, 2)),
-          wr(randomWeights(resnet, 3)), in_a(32, 32, 64),
-          in_b(16, 16, 64), in_r(56, 56, 64)
+          wr(randomWeights(resnet, 3))
     {
-        Rng rng(4);
-        in_a.randomize(rng);
-        in_b.randomize(rng);
-        in_r.randomize(rng);
     }
 
     Network cnn_a, cnn_b, resnet;
     std::vector<Weights4> wa, wb, wr;
-    Tensor3 in_a, in_b, in_r;
 };
 
 } // namespace
@@ -43,8 +37,8 @@ TEST(HostScheduler, TwoSmallModelsCoexist)
 {
     HostFixture f;
     HostScheduler host(210);
-    host.addTask({"camera", &f.cnn_a, &f.wa, &f.in_a, 1.0});
-    host.addTask({"radar", &f.cnn_b, &f.wb, &f.in_b, 1.0});
+    host.addTask({"camera", &f.cnn_a, &f.wa, 1.0});
+    host.addTask({"radar", &f.cnn_b, &f.wb, 1.0});
     HostScheduleResult r = host.schedule();
     ASSERT_EQ(r.regions.size(), 2u);
     EXPECT_TRUE(r.rejected.empty());
@@ -62,8 +56,8 @@ TEST(HostScheduler, ResNetCrowdsOutSecondModel)
     // after it must be rejected.
     HostFixture f;
     HostScheduler host(210);
-    host.addTask({"resnet", &f.resnet, &f.wr, &f.in_r, 1.0});
-    host.addTask({"radar", &f.cnn_b, &f.wb, &f.in_b, 1.0});
+    host.addTask({"resnet", &f.resnet, &f.wr, 1.0});
+    host.addTask({"radar", &f.cnn_b, &f.wb, 1.0});
     HostScheduleResult r = host.schedule();
     ASSERT_EQ(r.regions.size(), 1u);
     ASSERT_EQ(r.rejected.size(), 1u);
@@ -76,8 +70,8 @@ TEST(HostScheduler, DemandBiasesGrowth)
     // cores as the equal-sized low-demand one.
     HostFixture f;
     HostScheduler host(210);
-    host.addTask({"hot", &f.cnn_a, &f.wa, &f.in_a, 10.0});
-    host.addTask({"cold", &f.cnn_a, &f.wa, &f.in_a, 0.1});
+    host.addTask({"hot", &f.cnn_a, &f.wa, 10.0});
+    host.addTask({"cold", &f.cnn_a, &f.wa, 0.1});
     HostScheduleResult r = host.schedule();
     ASSERT_EQ(r.regions.size(), 2u);
     EXPECT_GE(r.regions[0].cores, r.regions[1].cores);
@@ -87,8 +81,8 @@ TEST(HostScheduler, AggregateIsSumOfRegions)
 {
     HostFixture f;
     HostScheduler host(210);
-    host.addTask({"a", &f.cnn_a, &f.wa, &f.in_a, 1.0});
-    host.addTask({"b", &f.cnn_b, &f.wb, &f.in_b, 1.0});
+    host.addTask({"a", &f.cnn_a, &f.wa, 1.0});
+    host.addTask({"b", &f.cnn_b, &f.wb, 1.0});
     HostScheduleResult r = host.schedule();
     double sum = 0;
     for (const auto &ra : r.regions)

@@ -74,8 +74,9 @@ TEST(Serving, PercentileOrderingAndServiceFloor)
     // median cannot undercut the fastest isolated inference.
     EXPECT_GE(r.p50, double(r.minServiceLatency));
     for (const auto &req : r.requests) {
-        if (req.completed)
+        if (req.completed) {
             EXPECT_GE(req.latency(), r.minServiceLatency);
+        }
     }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sim_component.hh"
 #include "nn/reference.hh"
+#include "runtime/host.hh"
 #include "runtime/system.hh"
 
 using namespace maicc;
@@ -77,6 +79,81 @@ TEST(System, ResNet18MatchesReferenceBitExactly)
     for (size_t i = 0; i < f.net.size(); ++i) {
         EXPECT_EQ(r.layerOutputs[i].data, ref.outputs[i].data)
             << f.net.layer(i).name;
+    }
+}
+
+TEST(System, RunTimingMatchesRun)
+{
+    // The timing pass alone must leave everything a functional run
+    // leaves — result, per-layer breakdown, activity, LLC stats and
+    // the stats dump — and compute no tensor.
+    struct Case
+    {
+        Network net;
+        unsigned cores;
+    };
+    Network resnet = buildResNet18();
+    std::vector<Case> cases = {
+        {resnet, 210},
+        {resnet, HostScheduler::minCores(resnet)},
+        {buildSmallCnn(16, 16, 64), 210},
+        {buildSmallCnn(8, 8, 64), 210},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.net.name + " on " + std::to_string(c.cores)
+                     + " cores");
+        Fixture f(c.net);
+        MappingPlan plan =
+            planMapping(f.net, Strategy::Heuristic, c.cores);
+        SimContext timing_ctx, run_ctx;
+        MaiccSystem timing_sys(f.net, f.w), run_sys(f.net, f.w);
+        timing_sys.attachTo(timing_ctx);
+        run_sys.attachTo(run_ctx);
+        RunResult t = timing_sys.runTiming(plan);
+        RunResult r = run_sys.run(plan, f.input);
+
+        EXPECT_TRUE(t.layerOutputs.empty());
+        EXPECT_EQ(r.layerOutputs.size(), f.net.size());
+        EXPECT_EQ(t.totalCycles, r.totalCycles);
+        ASSERT_EQ(t.segments.size(), r.segments.size());
+        for (size_t i = 0; i < t.segments.size(); ++i) {
+            const SegmentRunStats &ts = t.segments[i];
+            const SegmentRunStats &rs = r.segments[i];
+            EXPECT_EQ(ts.start, rs.start);
+            EXPECT_EQ(ts.filterLoadDone, rs.filterLoadDone);
+            EXPECT_EQ(ts.end, rs.end);
+            ASSERT_EQ(ts.layers.size(), rs.layers.size());
+            for (size_t j = 0; j < ts.layers.size(); ++j) {
+                const LayerRunStats &tl = ts.layers[j];
+                const LayerRunStats &rl = rs.layers[j];
+                EXPECT_EQ(tl.layerIdx, rl.layerIdx);
+                EXPECT_EQ(tl.firstInput, rl.firstInput);
+                EXPECT_EQ(tl.lastOutput, rl.lastOutput);
+                EXPECT_EQ(tl.midCore.compute, rl.midCore.compute);
+                EXPECT_EQ(tl.midCore.sendIfmap, rl.midCore.sendIfmap);
+                EXPECT_EQ(tl.midCore.sendOfmap, rl.midCore.sendOfmap);
+                EXPECT_EQ(tl.midCore.waitIfmap, rl.midCore.waitIfmap);
+            }
+        }
+        const ActivityCounts &ta = t.activity, &ra = r.activity;
+        EXPECT_EQ(ta.runtime, ra.runtime);
+        EXPECT_EQ(ta.activeCoreCycles, ra.activeCoreCycles);
+        EXPECT_EQ(ta.macActivations, ra.macActivations);
+        EXPECT_EQ(ta.moveRows, ra.moveRows);
+        EXPECT_EQ(ta.remoteRows, ra.remoteRows);
+        EXPECT_EQ(ta.verticalWriteBytes, ra.verticalWriteBytes);
+        EXPECT_EQ(ta.dmemAccesses, ra.dmemAccesses);
+        EXPECT_EQ(ta.llcAccesses, ra.llcAccesses);
+        EXPECT_EQ(ta.nocFlitHops, ra.nocFlitHops);
+        EXPECT_EQ(ta.dramAccesses, ra.dramAccesses);
+
+        // The dump carries recordStats() of the system and of its
+        // LLC child ("system.llc": hits, misses, writebacks).
+        std::ostringstream tj, rj;
+        timing_ctx.writeStatsJson(tj);
+        run_ctx.writeStatsJson(rj);
+        EXPECT_NE(tj.str().find("llc"), std::string::npos);
+        EXPECT_EQ(tj.str(), rj.str());
     }
 }
 
