@@ -8,132 +8,79 @@ namespace maicc
 namespace
 {
 
-class FifoPolicy : public AdmissionPolicy
+/**
+ * The three built-in policies share one shape: rank the candidates
+ * by a total order, admit the head when it fits, and — when
+ * work-conserving (sjf always, fifo/priority with backfill) — fall
+ * back to the first *fitting* candidate in the same order.
+ */
+class BuiltinPolicy : public AdmissionPolicy
 {
   public:
-    explicit FifoPolicy(bool backfill) : backfill(backfill) {}
-
-    const char *
-    name() const override
+    BuiltinPolicy(SchedPolicy kind, bool backfill)
+        : kind(kind), backfill(backfill)
     {
-        return backfill ? "fifo+backfill" : "fifo";
-    }
-
-    size_t
-    pick(const std::vector<QueuedRequest> &queue,
-         unsigned free_cores) const override
-    {
-        if (queue.empty())
-            return npos;
-        if (queue.front().minCores <= free_cores)
-            return 0;
-        if (!backfill)
-            return npos; // strict: no skipping the head
-        for (size_t i = 1; i < queue.size(); ++i) {
-            if (queue[i].minCores <= free_cores)
-                return i;
-        }
-        return npos;
-    }
-
-  private:
-    bool backfill;
-};
-
-class SjfPolicy : public AdmissionPolicy
-{
-  public:
-    const char *
-    name() const override
-    {
-        return "sjf";
     }
 
     bool
     wantsCostEstimates() const override
     {
-        return true;
+        return kind == SchedPolicy::Sjf;
     }
 
-    size_t
-    pick(const std::vector<QueuedRequest> &queue,
+    uint64_t
+    pick(const std::vector<QueueCandidate> &candidates,
          unsigned free_cores) const override
     {
-        // Shortest estimated service time among the *fitting*
-        // requests; id (= arrival order) breaks ties, so equal-cost
-        // requests are still served FIFO. Work-conserving by
-        // construction: a long head never blocks a short fit.
-        size_t best = npos;
-        for (size_t i = 0; i < queue.size(); ++i) {
-            if (queue[i].minCores > free_cores)
-                continue;
-            if (best == npos
-                || queue[i].costEstimate
-                    < queue[best].costEstimate
-                || (queue[i].costEstimate
-                        == queue[best].costEstimate
-                    && queue[i].id < queue[best].id)) {
-                best = i;
-            }
+        const QueueCandidate *head = nullptr;
+        const QueueCandidate *fit = nullptr;
+        for (const QueueCandidate &c : candidates) {
+            if (!head || before(c, *head))
+                head = &c;
+            if (c.minCores <= free_cores && (!fit || before(c, *fit)))
+                fit = &c;
         }
-        return best;
-    }
-};
-
-class PriorityPolicy : public AdmissionPolicy
-{
-  public:
-    explicit PriorityPolicy(bool backfill) : backfill(backfill) {}
-
-    const char *
-    name() const override
-    {
-        return backfill ? "priority+backfill" : "priority";
-    }
-
-    size_t
-    pick(const std::vector<QueuedRequest> &queue,
-         unsigned free_cores) const override
-    {
-        // Order: lowest class first (class 0 is the most urgent),
-        // arrival order within a class. Strict mode blocks on the
-        // first request of that order; backfill admits the first
-        // *fitting* one instead.
-        size_t best = npos;
-        for (size_t i = 0; i < queue.size(); ++i) {
-            if (best == npos
-                || queue[i].priorityClass
-                    < queue[best].priorityClass
-                || (queue[i].priorityClass
-                        == queue[best].priorityClass
-                    && queue[i].id < queue[best].id)) {
-                best = i;
-            }
-        }
-        if (best == npos)
+        // The head fits exactly when it is also the first fitting
+        // candidate; otherwise only a work-conserving policy skips
+        // it.
+        if (!fit || (fit != head && !workConserving()))
             return npos;
-        if (queue[best].minCores <= free_cores)
-            return best;
-        if (!backfill)
-            return npos;
-        // Backfill: continue down the same (class, arrival) order.
-        size_t fit = npos;
-        for (size_t i = 0; i < queue.size(); ++i) {
-            if (i == best || queue[i].minCores > free_cores)
-                continue;
-            if (fit == npos
-                || queue[i].priorityClass
-                    < queue[fit].priorityClass
-                || (queue[i].priorityClass
-                        == queue[fit].priorityClass
-                    && queue[i].id < queue[fit].id)) {
-                fit = i;
-            }
-        }
-        return fit;
+        return kind == SchedPolicy::Fifo ? fit->firstId
+                                         : fit->lowestId;
     }
 
   private:
+    bool
+    workConserving() const
+    {
+        return backfill || kind == SchedPolicy::Sjf;
+    }
+
+    /**
+     * The policy order. fifo: global queue order (enqueue
+     * sequence). sjf: estimated service time, then request id, so
+     * equal-cost requests are still served in arrival order.
+     * priority: class (0 is the most urgent), then request id.
+     */
+    bool
+    before(const QueueCandidate &a, const QueueCandidate &b) const
+    {
+        switch (kind) {
+          case SchedPolicy::Fifo:
+            return a.firstSeq < b.firstSeq;
+          case SchedPolicy::Sjf:
+            if (a.costEstimate != b.costEstimate)
+                return a.costEstimate < b.costEstimate;
+            return a.lowestId < b.lowestId;
+          case SchedPolicy::Priority:
+            if (a.priorityClass != b.priorityClass)
+                return a.priorityClass < b.priorityClass;
+            return a.lowestId < b.lowestId;
+        }
+        return false;
+    }
+
+    SchedPolicy kind;
     bool backfill;
 };
 
@@ -144,11 +91,9 @@ makePolicy(SchedPolicy kind, bool backfill)
 {
     switch (kind) {
       case SchedPolicy::Fifo:
-        return std::make_unique<FifoPolicy>(backfill);
       case SchedPolicy::Sjf:
-        return std::make_unique<SjfPolicy>();
       case SchedPolicy::Priority:
-        return std::make_unique<PriorityPolicy>(backfill);
+        return std::make_unique<BuiltinPolicy>(kind, backfill);
     }
     maicc_fatal("unknown SchedPolicy");
 }

@@ -11,22 +11,33 @@
  * starts next?" — as an AdmissionPolicy object. The event loop owns
  * everything else (region carving, batching, completion), so every
  * policy inherits the serving determinism contract for free: a
- * policy is a pure function of the queue snapshot it is handed, and
- * the snapshot is built from thread-count-invariant quantities.
+ * policy is a pure function of the candidates it is handed, and
+ * they are built from thread-count-invariant quantities.
+ *
+ * Everything a policy ranks by — the minimum node group, the SJF
+ * cost estimate, the priority class — depends on the model alone,
+ * so the waiting queue reaches a policy as one QueueCandidate per
+ * model with queued work (ShardEngine keeps a FIFO queue per
+ * model). A candidate names the model's earliest-enqueued request
+ * (its place in global queue order) and its lowest request id (the
+ * arrival-order tie-break). The two differ once retries and
+ * failovers re-enqueue old ids behind younger ones. An admission
+ * decision therefore costs O(models), not O(queue depth).
  *
  * Built-in policies (SchedPolicy, `--policy=fifo|sjf|priority`):
  *
- *  - **fifo**: strict arrival order with head-of-line blocking —
- *    the request at the front is admitted as soon as its minimum
- *    node group fits; later requests never jump it.
- *  - **sjf**: shortest-job-first over the *fitting* queued
- *    requests, using the memoized per-(model, cores) service
- *    profiles (ServingSimulator::profile, optionally backed by the
+ *  - **fifo**: strict queue order with head-of-line blocking —
+ *    the earliest-enqueued request is admitted as soon as its
+ *    minimum node group fits; later requests never jump it.
+ *  - **sjf**: shortest-job-first over the *fitting* models, using
+ *    the memoized per-(model, cores) service profiles
+ *    (ServingSimulator::profile, optionally backed by the
  *    TimingResultCache, DESIGN.md §13) as cost estimates; ties
- *    break toward arrival order. Inherently work-conserving.
+ *    break toward the lowest request id, and the chosen model's
+ *    lowest-id request is admitted. Inherently work-conserving.
  *  - **priority**: lowest ServedModel::priorityClass first (class 0
- *    is the most urgent), arrival order within a class, with
- *    head-of-line blocking on the chosen class order.
+ *    is the most urgent), lowest request id within a class, with
+ *    head-of-line blocking on that order.
  *
  * The `backfill` knob makes fifo and priority work-conserving: when
  * the blocked head does not fit, the first *fitting* request in the
@@ -145,15 +156,12 @@ parseShardPolicy(const std::string &s, ShardPolicy &out)
 }
 
 /**
- * What a policy may look at about one queued request. Snapshots are
- * listed in queue (arrival) order, so an index into the snapshot is
- * also the request's queue position.
+ * What a policy may look at about one model's queued work. The
+ * ranking fields depend only on the model; the last three locate
+ * the two requests a policy may admit.
  */
-struct QueuedRequest
+struct QueueCandidate
 {
-    uint64_t id = 0;            ///< arrival order, 0-based
-    size_t model = 0;           ///< registered model index
-    Cycles arrival = 0;         ///< arrival cycle
     unsigned priorityClass = 0; ///< ServedModel::priorityClass
     unsigned minCores = 0;      ///< densest node group that serves it
 
@@ -165,6 +173,12 @@ struct QueuedRequest
      * free-core count.
      */
     Cycles costEstimate = 0;
+
+    /** Enqueue sequence number of the model's earliest-enqueued
+     * request; it orders the request in the shard's global queue. */
+    uint64_t firstSeq = 0;
+    uint64_t firstId = 0;  ///< that earliest-enqueued request's id
+    uint64_t lowestId = 0; ///< the model's lowest queued request id
 };
 
 /**
@@ -177,26 +191,25 @@ class AdmissionPolicy
 {
   public:
     /** pick()'s "admit nothing at this event" result. */
-    static constexpr size_t npos =
-        std::numeric_limits<size_t>::max();
+    static constexpr uint64_t npos =
+        std::numeric_limits<uint64_t>::max();
 
     virtual ~AdmissionPolicy() = default;
 
-    /** The policyName spelling (for tables and logs). */
-    virtual const char *name() const = 0;
-
-    /** True when QueuedRequest::costEstimate must be filled. */
+    /** True when QueueCandidate::costEstimate must be filled. */
     virtual bool wantsCostEstimates() const { return false; }
 
     /**
-     * Queue position of the request to admit next, or npos when the
-     * policy admits nothing at this event. A returned position must
-     * fit: queue[pos].minCores <= freeCores (the caller asserts).
+     * Id of the request to admit next — a candidate's firstId or
+     * lowestId — or npos when the policy admits nothing at this
+     * event. @p candidates holds one entry per model with queued
+     * work, in any order. The admitted request must fit:
+     * its candidate's minCores <= freeCores (the caller asserts).
      * Strict (non-work-conserving) policies return npos when their
-     * first choice does not fit, even if a later request would.
+     * first choice does not fit, even if another model would.
      */
-    virtual size_t pick(const std::vector<QueuedRequest> &queue,
-                        unsigned freeCores) const = 0;
+    virtual uint64_t pick(const std::vector<QueueCandidate> &candidates,
+                          unsigned freeCores) const = 0;
 };
 
 /**

@@ -15,16 +15,18 @@ ShardEngine::ShardEngine(const ServingConfig &config,
     : cfg(config), models(models_), minCores(min_cores),
       requests(requests_), profileFn(std::move(profile)),
       shardIndex(shard_index), ledger(cfg.system.coreBudget),
-      region(cfg.system.geometry),
+      region(cfg.system.geometry), queues(models_.size()),
       policy(makePolicy(cfg.policy, cfg.backfill))
 {
     timeline.push_back({0, 0});
 }
 
 // Test/debug invariants, asserted at every event when
-// cfg.selfCheck is set: the core budget holds, and the ledger
-// (budget) and region (physical slots) stay in lock-step with the
-// sum of the running regions.
+// cfg.selfCheck is set: the core budget holds, the ledger (budget)
+// and region (physical slots) stay in lock-step with the sum of the
+// running regions, and the per-model queue index is consistent —
+// both orders strictly increasing, every entry a request of that
+// model dispatched here, and the sizes summing to queueDepth().
 void
 ShardEngine::checkInvariants() const
 {
@@ -35,15 +37,74 @@ ShardEngine::checkInvariants() const
     maicc_assert(region.totalNodes() - region.freeNodes()
                      - region.deadNodes()
                  == coresInFlight);
+    size_t total = 0;
+    for (size_t m = 0; m < queues.size(); ++m) {
+        const ModelQueue &q = queues[m];
+        maicc_assert(q.byId.size() == q.bySeq.size());
+        for (size_t i = 0; i < q.bySeq.size(); ++i) {
+            const RequestRecord &r = requests[q.bySeq[i].id];
+            maicc_assert(r.model == m && r.shard == shardIndex);
+            maicc_assert(i == 0 || q.bySeq[i - 1].seq < q.bySeq[i].seq);
+            maicc_assert(i == 0 || q.byId[i - 1].id < q.byId[i].id);
+        }
+        total += q.bySeq.size();
+    }
+    maicc_assert(total == queued);
+}
+
+std::deque<ShardEngine::Queued>::iterator
+ShardEngine::ModelQueue::findSeq(uint64_t seq)
+{
+    auto it = std::lower_bound(
+        bySeq.begin(), bySeq.end(), seq,
+        [](const Queued &e, uint64_t v) { return e.seq < v; });
+    maicc_assert(it != bySeq.end() && it->seq == seq);
+    return it;
+}
+
+std::deque<ShardEngine::Queued>::iterator
+ShardEngine::ModelQueue::findId(uint64_t id)
+{
+    auto it = std::lower_bound(
+        byId.begin(), byId.end(), id,
+        [](const Queued &e, uint64_t v) { return e.id < v; });
+    return it != byId.end() && it->id == id ? it : byId.end();
+}
+
+void
+ShardEngine::push(uint64_t id)
+{
+    ModelQueue &q = queues[requests[id].model];
+    Queued e{nextSeq++, id};
+    q.bySeq.push_back(e);
+    // A fresh arrival carries the largest id so far and appends; a
+    // retried or failed-over request slots in by id.
+    q.byId.insert(std::upper_bound(q.byId.begin(), q.byId.end(), id,
+                                   [](uint64_t v, const Queued &x) {
+                                       return v < x.id;
+                                   }),
+                  e);
+    ++queued;
+}
+
+void
+ShardEngine::drainModel(size_t model, std::vector<uint64_t> &out)
+{
+    ModelQueue &q = queues[model];
+    for (const Queued &e : q.bySeq)
+        out.push_back(e.id);
+    queued -= q.bySeq.size();
+    q.bySeq.clear();
+    q.byId.clear();
 }
 
 bool
 ShardEngine::enqueue(uint64_t id)
 {
-    if (queue.size() >= cfg.queueCapacity)
+    if (queued >= cfg.queueCapacity)
         return false;
     requests[id].shard = shardIndex;
-    queue.push_back(id);
+    push(id);
     return true;
 }
 
@@ -66,36 +127,34 @@ ShardEngine::complete(Cycles now)
 void
 ShardEngine::tryAdmit(Cycles now)
 {
-    while (!queue.empty()) {
-        // Snapshot the queue for the policy, in queue order, into
-        // the reused buffer (a deep backlog makes this the loop's
-        // hottest path). Cost estimates (SJF) reuse the memoized
+    while (queued > 0) {
+        // One candidate per model with queued work, into the reused
+        // buffer. Cost estimates (SJF) reuse the memoized
         // per-(model, minCores) service profiles, so only the first
         // sight of a model pays for a probe simulation.
-        view.clear();
-        for (uint64_t qid : queue) {
-            const RequestRecord &q = requests[qid];
-            QueuedRequest v;
-            v.id = qid;
-            v.model = q.model;
-            v.arrival = q.arrival;
-            v.priorityClass = q.priorityClass;
-            v.minCores = minCores[q.model];
-            if (policy->wantsCostEstimates()) {
-                v.costEstimate =
-                    profileFn(q.model, v.minCores).latency;
-            }
-            view.push_back(v);
+        candidates.clear();
+        for (size_t m = 0; m < queues.size(); ++m) {
+            const ModelQueue &q = queues[m];
+            if (q.bySeq.empty())
+                continue;
+            QueueCandidate c;
+            c.priorityClass = models[m].priorityClass;
+            c.minCores = minCores[m];
+            if (policy->wantsCostEstimates())
+                c.costEstimate = profileFn(m, c.minCores).latency;
+            c.firstSeq = q.bySeq.front().seq;
+            c.firstId = q.bySeq.front().id;
+            c.lowestId = q.byId.front().id;
+            candidates.push_back(c);
         }
-        size_t pos = policy->pick(view, ledger.freeCores());
-        if (pos == AdmissionPolicy::npos)
+        uint64_t id = policy->pick(candidates, ledger.freeCores());
+        if (id == AdmissionPolicy::npos)
             break; // nothing admissible at this event
-        maicc_assert(pos < queue.size());
 
-        RequestRecord &head = requests[queue[pos]];
-        unsigned min_cores = minCores[head.model];
+        size_t model = requests[id].model;
+        unsigned min_cores = minCores[model];
         maicc_assert(min_cores <= ledger.freeCores());
-        unsigned want = models[head.model].preferredCores;
+        unsigned want = models[model].preferredCores;
         // Graceful degradation: once core-loss faults have shrunk
         // the region, wide preferred grants fragment what is left
         // and starve admission — fall back to minimum-region
@@ -129,37 +188,46 @@ ShardEngine::tryAdmit(Cycles now)
 
         // Collect the admitted request plus same-model companions
         // into one batch. Default: only the contiguous same-model
-        // run starting at the admitted position, so batching never
-        // pulls a request past a different-model one (the
-        // no-reordering contract). cfg.batchAcrossQueue restores
-        // the whole-queue scan.
-        std::vector<uint64_t> batch;
-        unsigned max_batch = std::max(1u, cfg.maxBatch);
-        if (cfg.batchAcrossQueue) {
-            for (auto it = queue.begin() + pos;
-                 it != queue.end() && batch.size() < max_batch;) {
-                if (requests[*it].model == head.model) {
-                    batch.push_back(*it);
-                    it = queue.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        } else {
-            auto it = queue.begin() + pos;
-            while (it != queue.end() && batch.size() < max_batch
-                   && requests[*it].model == head.model) {
-                batch.push_back(*it);
-                it = queue.erase(it);
+        // run starting at the admitted request — this model's
+        // entries enqueued before any other model's next entry —
+        // so batching never pulls a request past a different-model
+        // one (the no-reordering contract). cfg.batchAcrossQueue
+        // takes every later entry of the model instead.
+        ModelQueue &q = queues[model];
+        auto by_id = q.findId(id);
+        maicc_assert(by_id != q.byId.end());
+        auto first = q.findSeq(by_id->seq);
+        uint64_t stop = std::numeric_limits<uint64_t>::max();
+        if (!cfg.batchAcrossQueue) {
+            for (size_t m = 0; m < queues.size(); ++m) {
+                const std::deque<Queued> &other = queues[m].bySeq;
+                if (m == model)
+                    continue;
+                auto next = std::upper_bound(
+                    other.begin(), other.end(), first->seq,
+                    [](uint64_t v, const Queued &e) {
+                        return v < e.seq;
+                    });
+                if (next != other.end())
+                    stop = std::min(stop, next->seq);
             }
         }
-        maicc_assert(!batch.empty());
+        unsigned max_batch = std::max(1u, cfg.maxBatch);
+        auto last = first;
+        while (last != q.bySeq.end() && last->seq < stop
+               && r.members.size() < max_batch) {
+            r.members.push_back(last->id);
+            ++last;
+        }
+        for (uint64_t member : r.members)
+            q.byId.erase(q.findId(member));
+        q.bySeq.erase(first, last);
+        queued -= r.members.size();
 
         r.cores = grant;
-        r.firstId = batch.front();
-        r.members = batch;
+        r.firstId = r.members.front();
 
-        const ServiceProfile &sp = profileFn(head.model, grant);
+        const ServiceProfile &sp = profileFn(model, grant);
         Cycles lat = sp.latency;
         Cycles interval = sp.interval;
         // Transient DRAM-outage / NoC-degradation windows scale
@@ -174,11 +242,11 @@ ShardEngine::tryAdmit(Cycles now)
                 static_cast<double>(interval) * slow);
         }
         minService = std::min(minService, lat);
-        for (size_t k = 0; k < batch.size(); ++k) {
-            RequestRecord &req = requests[batch[k]];
+        for (size_t k = 0; k < r.members.size(); ++k) {
+            RequestRecord &req = requests[r.members[k]];
             req.start = now;
             req.cores = grant;
-            req.batchSize = unsigned(batch.size());
+            req.batchSize = unsigned(r.members.size());
             req.finish = now + lat + Cycles(k) * interval;
             r.finish = req.finish;
         }
@@ -206,8 +274,8 @@ ShardEngine::failStop(Cycles now)
         coresInFlight -= r.cores;
         running.pop();
     }
-    displaced.insert(displaced.end(), queue.begin(), queue.end());
-    queue.clear();
+    for (size_t m = 0; m < queues.size(); ++m)
+        drainModel(m, displaced);
 
     for (unsigned s = 0; s < region.totalNodes(); ++s) {
         if (!region.dead(s))
@@ -272,14 +340,10 @@ ShardEngine::loseCores(unsigned count, Cycles now)
 
     // Queued requests whose minimum region no longer fits any
     // possible run on this shard would wait forever — displace
-    // them for the dispatcher to fail over.
-    for (auto it = queue.begin(); it != queue.end();) {
-        if (!canServe(minCores[requests[*it].model])) {
-            displaced.push_back(*it);
-            it = queue.erase(it);
-        } else {
-            ++it;
-        }
+    // them for the dispatcher to fail over (a per-model test).
+    for (size_t m = 0; m < queues.size(); ++m) {
+        if (!canServe(minCores[m]))
+            drainModel(m, displaced);
     }
 
     timeline.push_back({now, ledger.used()});
@@ -308,10 +372,13 @@ ShardEngine::slowdownAt(Cycles now) const
 bool
 ShardEngine::removeQueued(uint64_t id)
 {
-    auto it = std::find(queue.begin(), queue.end(), id);
-    if (it == queue.end())
+    ModelQueue &q = queues[requests[id].model];
+    auto it = q.findId(id);
+    if (it == q.byId.end())
         return false;
-    queue.erase(it);
+    q.bySeq.erase(q.findSeq(it->seq));
+    q.byId.erase(it);
+    --queued;
     return true;
 }
 

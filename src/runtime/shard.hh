@@ -83,13 +83,10 @@ class ShardEngine
     bool idle() const { return running.empty(); }
 
     /** True when an arrival would be rejected (waiting room full). */
-    bool queueFull() const
-    {
-        return queue.size() >= cfg.queueCapacity;
-    }
+    bool queueFull() const { return queued >= cfg.queueCapacity; }
 
     /** Requests waiting for admission (running ones excluded). */
-    size_t queueDepth() const { return queue.size(); }
+    size_t queueDepth() const { return queued; }
 
     /** Cores not held by running batches (dispatcher load metric). */
     unsigned freeCores() const { return ledger.freeCores(); }
@@ -109,11 +106,13 @@ class ShardEngine
 
     /**
      * Admit from the waiting queue until the policy yields nothing
-     * admissible: snapshot the queue, let the policy pick, carve a
-     * contiguous region (degrading to the minimum region under
-     * fragmentation), collect the same-model batch, and schedule
-     * its completion from the service profile. Asserts the
-     * ledger/region lock-step afterwards when cfg.selfCheck is on.
+     * admissible: hand the policy one candidate per model with
+     * queued work (O(models), not O(queue depth)), carve a
+     * contiguous region for the request it picks (degrading to the
+     * minimum region under fragmentation), collect the same-model
+     * batch, and schedule its completion from the service profile.
+     * Asserts the ledger/region lock-step and the queue index
+     * afterwards when cfg.selfCheck is on.
      */
     void tryAdmit(Cycles now);
 
@@ -193,6 +192,37 @@ class ShardEngine
     bool removeQueued(uint64_t id);
 
   private:
+    /** One waiting request, stamped with its enqueue order. */
+    struct Queued
+    {
+        uint64_t seq = 0; ///< per-shard enqueue sequence number
+        uint64_t id = 0;  ///< request id
+    };
+
+    /**
+     * One model's waiting requests, held twice: in enqueue order
+     * (the global queue order restricted to this model) and in id
+     * order. Fresh arrivals append to both, so without retries or
+     * failovers both orders agree and every operation stays at the
+     * ends; a re-enqueued old id lands mid-way in byId.
+     */
+    struct ModelQueue
+    {
+        std::deque<Queued> bySeq;
+        std::deque<Queued> byId;
+
+        /** bySeq position of the entry enqueued as @p seq. */
+        std::deque<Queued>::iterator findSeq(uint64_t seq);
+        /** byId position of request @p id, or byId.end(). */
+        std::deque<Queued>::iterator findId(uint64_t id);
+    };
+
+    /** Append request @p id to its model's queue. */
+    void push(uint64_t id);
+
+    /** Move every request queued for @p model into @p out. */
+    void drainModel(size_t model, std::vector<uint64_t> &out);
+
     /** One admitted batch occupying a region until its last
      * request finishes. */
     struct Running
@@ -233,7 +263,9 @@ class ShardEngine
 
     CoreLedger ledger;
     RegionAllocator region;
-    std::deque<uint64_t> queue;
+    std::vector<ModelQueue> queues; ///< indexed by model
+    size_t queued = 0;              ///< sum of the queue sizes
+    uint64_t nextSeq = 0;
     std::priority_queue<Running, std::vector<Running>,
                         std::greater<Running>>
         running;
@@ -241,7 +273,7 @@ class ShardEngine
     unsigned coresInFlight = 0;
     std::vector<UtilizationSample> timeline;
     Cycles minService = kNever;
-    std::vector<QueuedRequest> view; ///< tryAdmit's queue snapshot
+    std::vector<QueueCandidate> candidates; ///< tryAdmit's buffer
 
     // Fault state — all of it stays at the defaults on the
     // fault-free paths.

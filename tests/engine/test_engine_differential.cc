@@ -18,6 +18,13 @@
  *  - MaiccSystem end-to-end runs (cycles, segments, activity);
  *  - serving and cluster --stats-json dumps.
  *
+ * The policy_*.txt goldens pin admission instead: per policy (fifo,
+ * sjf, priority, with and without backfill, plus whole-queue
+ * batching) a 2-chip run's stats dump and every request record,
+ * fault-free and under timeouts, a core loss and a fail-stop. They
+ * were captured from the whole-queue admission scan that per-model
+ * candidates (runtime/admission.hh) replaced.
+ *
  * Live differentials, which need no golden data:
  *
  *  - the NoC's per-cycle tick() loop against the skip-ahead
@@ -64,6 +71,7 @@
 #include "runtime/system.hh"
 
 using namespace maicc;
+using testserv::ModelFixture;
 using testserv::Workload;
 using testserv::expectIdenticalResults;
 
@@ -489,6 +497,118 @@ TEST(EngineDifferential, ClusterIdenticalAcrossEngines)
         expectGolden("cluster" + std::to_string(chips) + "_stats",
                      ctx.statsToJson().dump());
     }
+}
+
+namespace
+{
+
+/** One admission-policy variant of the policy-golden matrix. */
+struct PolicyCase
+{
+    const char *name;
+    SchedPolicy policy;
+    bool backfill;
+    bool batchAcrossQueue = false;
+};
+
+const PolicyCase kPolicyCases[] = {
+    {"fifo", SchedPolicy::Fifo, false},
+    {"fifo_backfill", SchedPolicy::Fifo, true},
+    {"sjf", SchedPolicy::Sjf, false},
+    {"priority", SchedPolicy::Priority, false},
+    {"priority_backfill", SchedPolicy::Priority, true},
+    // sjf admits from mid-queue, where whole-queue batching and the
+    // contiguous run differ most.
+    {"sjf_batch_across", SchedPolicy::Sjf, false, true},
+};
+
+/**
+ * A 2-chip run deep enough that every policy reorders: three
+ * models with different footprints and classes, batching on, and
+ * a core budget that holds only a few regions at a time. The
+ * faulted leg adds queue timeouts with retries, a core loss and a
+ * chip fail-stop, so retried and failed-over requests re-enter a
+ * queue behind younger ones (enqueue order differs from id order).
+ */
+ServingConfig
+policyConfig(const PolicyCase &pc, bool faulted)
+{
+    ServingConfig cfg;
+    cfg.seed = 19;
+    cfg.offeredRequests = 96;
+    cfg.meanInterarrival = 60'000;
+    cfg.chips = 2;
+    cfg.maxBatch = 3;
+    cfg.system.coreBudget = 40;
+    cfg.policy = pc.policy;
+    cfg.backfill = pc.backfill;
+    cfg.batchAcrossQueue = pc.batchAcrossQueue;
+    cfg.selfCheck = true;
+    if (faulted) {
+        cfg.timeoutCycles = 900'000;
+        cfg.maxRetries = 2;
+        cfg.backoffCycles = 20'000;
+        FaultEvent loss;
+        loss.kind = FaultKind::CoreLoss;
+        loss.cycle = 1'500'000;
+        loss.chip = 0;
+        loss.count = 20;
+        cfg.faults.events.push_back(loss);
+        FaultEvent stop;
+        stop.kind = FaultKind::ChipFailStop;
+        stop.cycle = 3'000'000;
+        stop.chip = 1;
+        cfg.faults.events.push_back(stop);
+    }
+    return cfg;
+}
+
+/** Every request's placement, stamps and terminal flags. */
+std::string
+recordsText(const ServingResult &r)
+{
+    std::ostringstream os;
+    for (const RequestRecord &q : r.requests) {
+        os << q.id << " shard " << q.shard << " start " << q.start
+           << " finish " << q.finish << " cores " << q.cores
+           << " batch " << q.batchSize << " retries " << q.retries
+           << " completed " << q.completed << " rejected "
+           << q.rejected << " shed " << q.shed << " timedOut "
+           << q.timedOut << "\n";
+    }
+    return os.str();
+}
+
+void
+expectPolicyGolden(const PolicyCase &pc, bool faulted)
+{
+    SCOPED_TRACE(std::string(pc.name)
+                 + (faulted ? " faulted" : " clean"));
+    Workload w;
+    ModelFixture small(testserv::tinyConvNet("small", 8), 47);
+    SimContext ctx;
+    auto cl = w.cluster(policyConfig(pc, faulted), /*camera=*/0,
+                        /*radar=*/1);
+    cl->addModel(small.served("small", 1.5, 0, /*priority=*/2));
+    cl->attach(ctx);
+    ClusterResult r = cl->run();
+    expectGolden(std::string("policy_") + pc.name
+                     + (faulted ? "_faulted" : "_clean"),
+                 ctx.statsToJson().dump() + recordsText(r.aggregate));
+}
+
+} // namespace
+
+TEST(EngineDifferential, AdmissionPoliciesPinnedFaultFree)
+{
+    for (const PolicyCase &pc : kPolicyCases)
+        expectPolicyGolden(pc, false);
+}
+
+TEST(EngineDifferential, AdmissionPoliciesPinnedUnderFaults)
+{
+    for (const PolicyCase &pc : kPolicyCases)
+        expectPolicyGolden(pc, true);
 }
 
 TEST(EngineDifferential, HostSecondsOptInOnly)

@@ -18,14 +18,20 @@
  *    an unreached cutoff;
  *  - sjf/priority ordering, per-class latency/SLO accounting,
  *    work-conserving backfill, and bitwise thread-count/sim-cache
- *    determinism for every policy.
+ *    determinism for every policy;
+ *  - per-model candidates: every policy's pick over one candidate
+ *    per model admits the same request as a scan of the whole
+ *    waiting queue (kept below as a test-only reference).
  */
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "common/seeded_test.hh"
 #include "common/serving_fixtures.hh"
 #include "runtime/host.hh"
 #include "runtime/serving.hh"
@@ -558,4 +564,180 @@ TEST(ServingPolicies, DumpStatsRecordsPerClassSlices)
                       .percentile(99),
                   c.p99);
     }
+}
+
+// ---------------------------------------------------------------
+// Per-model candidates against the whole-queue scan.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** One waiting request as the whole-queue scan saw it. */
+struct ScanEntry
+{
+    uint64_t id = 0;
+    size_t model = 0;
+    unsigned priorityClass = 0;
+    unsigned minCores = 0;
+    Cycles costEstimate = 0;
+};
+
+/**
+ * The admission decision as a scan over the whole waiting queue,
+ * listed in queue order: the id the policy admits, or npos.
+ */
+uint64_t
+scanPick(SchedPolicy kind, bool backfill,
+         const std::vector<ScanEntry> &queue, unsigned free_cores)
+{
+    constexpr size_t none = std::numeric_limits<size_t>::max();
+    auto fits = [&](size_t i) {
+        return queue[i].minCores <= free_cores;
+    };
+    size_t pos = none;
+    switch (kind) {
+      case SchedPolicy::Fifo:
+        // Strict head-of-line blocking; backfill admits the first
+        // fitting request in queue order.
+        for (size_t i = 0; i < queue.size(); ++i) {
+            if (fits(i)) {
+                pos = i;
+                break;
+            }
+            if (!backfill)
+                break;
+        }
+        break;
+      case SchedPolicy::Sjf:
+        // Cheapest fitting request, lowest id on ties.
+        for (size_t i = 0; i < queue.size(); ++i) {
+            if (!fits(i))
+                continue;
+            if (pos == none
+                || queue[i].costEstimate < queue[pos].costEstimate
+                || (queue[i].costEstimate == queue[pos].costEstimate
+                    && queue[i].id < queue[pos].id))
+                pos = i;
+        }
+        break;
+      case SchedPolicy::Priority: {
+        // Lowest (class, id); strict mode blocks on it, backfill
+        // takes the lowest fitting (class, id) instead.
+        auto before = [&](size_t a, size_t b) {
+            return queue[a].priorityClass != queue[b].priorityClass
+                ? queue[a].priorityClass < queue[b].priorityClass
+                : queue[a].id < queue[b].id;
+        };
+        size_t best = none;
+        for (size_t i = 0; i < queue.size(); ++i) {
+            if (best == none || before(i, best))
+                best = i;
+        }
+        if (best != none && fits(best)) {
+            pos = best;
+        } else if (best != none && backfill) {
+            for (size_t i = 0; i < queue.size(); ++i) {
+                if (fits(i) && (pos == none || before(i, pos)))
+                    pos = i;
+            }
+        }
+        break;
+      }
+    }
+    return pos == none ? AdmissionPolicy::npos : queue[pos].id;
+}
+
+/** One candidate per model with queued work, as ShardEngine builds
+ * them (the queue position is the enqueue sequence number). */
+std::vector<QueueCandidate>
+candidatesOf(const std::vector<ScanEntry> &queue, size_t n_models)
+{
+    std::vector<QueueCandidate> out;
+    for (size_t m = 0; m < n_models; ++m) {
+        QueueCandidate c;
+        bool seen = false;
+        for (size_t i = 0; i < queue.size(); ++i) {
+            const ScanEntry &e = queue[i];
+            if (e.model != m)
+                continue;
+            if (!seen) {
+                c.priorityClass = e.priorityClass;
+                c.minCores = e.minCores;
+                c.costEstimate = e.costEstimate;
+                c.firstSeq = i;
+                c.firstId = e.id;
+                c.lowestId = e.id;
+                seen = true;
+            }
+            c.lowestId = std::min(c.lowestId, e.id);
+        }
+        if (seen)
+            out.push_back(c);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(ServingPolicies, ModelCandidatesMatchWholeQueueScan)
+{
+    uint64_t seed = testseed::seedOrDefault(1409);
+    MAICC_SEED_TRACE(seed);
+    Rng rng(seed);
+    const std::pair<SchedPolicy, bool> variants[] = {
+        {SchedPolicy::Fifo, false},     {SchedPolicy::Fifo, true},
+        {SchedPolicy::Sjf, false},      {SchedPolicy::Priority, false},
+        {SchedPolicy::Priority, true},
+    };
+    size_t admitted = 0, blocked = 0, reordered = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        // 2–4 models; few classes, costs and footprints, so ties
+        // and equal footprints are common.
+        size_t n_models = 2 + rng.below(3);
+        std::vector<ScanEntry> proto(n_models);
+        for (size_t m = 0; m < n_models; ++m) {
+            proto[m].model = m;
+            proto[m].priorityClass = unsigned(rng.below(3));
+            proto[m].minCores = unsigned(1 + rng.below(12));
+            proto[m].costEstimate = Cycles(1 + rng.below(4)) * 1000;
+        }
+        // Arrivals enqueue in id order; each retry then moves a
+        // queued request to the back, behind younger ids.
+        std::vector<ScanEntry> queue;
+        size_t depth = 1 + rng.below(24);
+        for (uint64_t id = 0; id < depth; ++id) {
+            ScanEntry e = proto[rng.below(n_models)];
+            e.id = id;
+            queue.push_back(e);
+        }
+        size_t retries = rng.below(3) == 0 ? 0 : rng.below(depth + 1);
+        for (size_t k = 0; k < retries; ++k) {
+            size_t i = rng.below(queue.size());
+            ScanEntry e = queue[i];
+            queue.erase(queue.begin() + long(i));
+            queue.push_back(e);
+        }
+        for (size_t i = 1; i < queue.size(); ++i)
+            reordered += queue[i].id < queue[i - 1].id;
+        unsigned free_cores = unsigned(rng.below(14));
+
+        std::vector<QueueCandidate> cands =
+            candidatesOf(queue, n_models);
+        for (auto [kind, backfill] : variants) {
+            SCOPED_TRACE(std::string(policyName(kind))
+                         + (backfill ? "+backfill" : "") + " trial "
+                         + std::to_string(trial));
+            uint64_t want =
+                scanPick(kind, backfill, queue, free_cores);
+            uint64_t got =
+                makePolicy(kind, backfill)->pick(cands, free_cores);
+            ASSERT_EQ(got, want);
+            (want == AdmissionPolicy::npos ? blocked : admitted)++;
+        }
+    }
+    // The draw exercises both outcomes and out-of-order queues.
+    EXPECT_GT(admitted, 0u);
+    EXPECT_GT(blocked, 0u);
+    EXPECT_GT(reordered, 0u);
 }
