@@ -20,9 +20,32 @@ CoreTimingModel::CoreTimingModel(const rv32::Program &program,
     : SimComponent("core"), cfg(config), exec(program, mem, cm, rows),
       cmem(cm), regReady(32, 0), regWbDone(32, 0),
       sliceFree(cm ? cm->config().numSlices : 0, 0),
-      sliceDataReady(cm ? cm->config().numSlices : 0, 0)
+      sliceDataReady(cm ? cm->config().numSlices : 0, 0),
+      wbBooked(256, 0)
 {
     maicc_assert(config.wbPorts >= 1);
+    decoded.reserve(program.insts.size());
+    for (const Inst &in : program.insts) {
+        Decoded d;
+        if (rv32::isCMemOp(in.op))
+            d.unit = Unit::CMem;
+        else if (rv32::isLoadOp(in.op) || rv32::isStoreOp(in.op)
+                 || rv32::isAmoOp(in.op))
+            d.unit = Unit::Mem;
+        else if (in.op == Op::DIV || in.op == Op::DIVU
+                 || in.op == Op::REM || in.op == Op::REMU)
+            d.unit = Unit::Div;
+        else if (in.op == Op::MUL || in.op == Op::MULH
+                 || in.op == Op::MULHSU || in.op == Op::MULHU)
+            d.unit = Unit::Mul;
+        d.readsRs1 = in.readsRs1();
+        d.readsRs2 = in.readsRs2();
+        d.writesRd = in.writesRd();
+        d.control = rv32::isControlOp(in.op);
+        d.immOffset = !(rv32::isAmoOp(in.op) || in.op == Op::LR_W
+                        || in.op == Op::SC_W);
+        decoded.push_back(d);
+    }
 }
 
 void
@@ -33,7 +56,9 @@ CoreTimingModel::reset()
     std::fill(sliceFree.begin(), sliceFree.end(), Cycles(0));
     std::fill(sliceDataReady.begin(), sliceDataReady.end(),
               Cycles(0));
-    wbBookings.clear();
+    std::fill(wbBooked.begin(), wbBooked.end(), 0u);
+    wbBase = 0;
+    wbEnd = 0;
     cmemDispatch.clear();
     lastCMemDispatch = 0;
     divFree = 0;
@@ -64,27 +89,47 @@ CoreTimingModel::recordStats()
     publish("branchPenaltyCycles", runStats.branchPenaltyCycles);
 }
 
+void
+CoreTimingModel::advanceWbWindow(Cycles front)
+{
+    if (front <= wbBase)
+        return;
+    // The slots of cycles that fall out of the window are reused
+    // by the cycles one window length later: zero them.
+    const Cycles mask = wbBooked.size() - 1;
+    for (Cycles c = wbBase; c < std::min(front, wbEnd); ++c)
+        wbBooked[c & mask] = 0;
+    wbBase = front;
+    wbEnd = std::max(wbEnd, front);
+}
+
 Cycles
 CoreTimingModel::bookWbPort(Cycles ready)
 {
-    // The booking map is sparse — any cycle without an entry is
-    // free — so walk the ordered entries from `ready` and stop at
-    // the first gap or not-fully-booked entry: the first cycle
-    // >= ready with bookings < wbPorts, found without probing the
-    // fully-booked cycles in between one at a time.
+    // The first cycle >= ready with bookings < wbPorts.
+    maicc_assert(ready >= wbBase);
     Cycles slot = ready;
-    auto it = wbBookings.lower_bound(ready);
-    while (it != wbBookings.end() && it->first == slot
-           && it->second >= cfg.wbPorts) {
+    while (true) {
+        if (slot - wbBase >= wbBooked.size()) {
+            // Past the window's end: double it until the slot fits,
+            // re-placing the live cycles at their new positions.
+            size_t size = wbBooked.size();
+            while (slot - wbBase >= size)
+                size *= 2;
+            std::vector<unsigned> grown(size, 0);
+            for (Cycles c = wbBase; c < wbEnd; ++c)
+                grown[c & (size - 1)] =
+                    wbBooked[c & (wbBooked.size() - 1)];
+            wbBooked.swap(grown);
+        }
+        unsigned &booked = wbBooked[slot & (wbBooked.size() - 1)];
+        if (booked < cfg.wbPorts) {
+            ++booked;
+            wbEnd = std::max(wbEnd, slot + 1);
+            return slot;
+        }
         ++slot;
-        ++it;
     }
-    if (it != wbBookings.end() && it->first == slot) {
-        ++it->second;
-        return slot;
-    }
-    wbBookings.emplace_hint(it, slot, 1);
-    return slot;
 }
 
 CoreRunStats
@@ -101,14 +146,12 @@ CoreTimingModel::run(uint64_t max_insts)
 
         const Inst &in = exec.current();
         Addr pc_before = exec.pc();
+        const Decoded &dec = decoded[pc_before / 4];
         const bool tracing = trace::kEnabled && sink != nullptr;
 
-        // Bookings older than the in-order issue front can never be
-        // contended again; prune to bound memory on long runs.
-        while (!wbBookings.empty()
-               && wbBookings.begin()->first + 4 < fetchReady) {
-            wbBookings.erase(wbBookings.begin());
-        }
+        // Every booking this instruction makes is at or after its
+        // issue, hence at or after fetchReady.
+        advanceWbWindow(fetchReady);
 
         // Operand values before architectural execution: with
         // in-order issue these are exactly the values the hardware
@@ -121,9 +164,9 @@ CoreTimingModel::run(uint64_t max_insts)
 
         // RAW interlock via the scoreboard / bypass network.
         Cycles raw = issue;
-        if (in.readsRs1())
+        if (dec.readsRs1)
             raw = std::max(raw, regReady[in.rs1]);
-        if (in.readsRs2())
+        if (dec.readsRs2)
             raw = std::max(raw, regReady[in.rs2]);
         Cycles stall_raw = raw - issue;
         runStats.stallRaw += stall_raw;
@@ -131,7 +174,7 @@ CoreTimingModel::run(uint64_t max_insts)
 
         // WAW: destination must have retired its previous write.
         Cycles stall_waw = 0;
-        if (in.writesRd()) {
+        if (dec.writesRd) {
             Cycles waw = std::max(issue, regWbDone[in.rd]);
             stall_waw = waw - issue;
             runStats.stallWaw += stall_waw;
@@ -141,7 +184,7 @@ CoreTimingModel::run(uint64_t max_insts)
         Cycles stall_queue = 0;
         Cycles stall_struct = 0;
 
-        bool cmem_op = rv32::isCMemOp(in.op);
+        bool cmem_op = dec.unit == Unit::CMem;
         Cycles dispatch = 0;
         unsigned slice_a = 0, slice_b = 0;
         bool uses_slice_b = false;
@@ -263,7 +306,7 @@ CoreTimingModel::run(uint64_t max_insts)
             }
             done_t = done;
 
-            if (in.writesRd()) {
+            if (dec.writesRd) {
                 // CMem results return through the register file.
                 Cycles wb = bookWbPort(done);
                 regReady[in.rd] = wb;
@@ -278,8 +321,7 @@ CoreTimingModel::run(uint64_t max_insts)
                 wb_t = done;
                 end_time = std::max(end_time, dispatch + busy);
             }
-        } else if (rv32::isLoadOp(in.op) || rv32::isStoreOp(in.op)
-                   || rv32::isAmoOp(in.op)) {
+        } else if (dec.unit == Unit::Mem) {
             Cycles s = std::max(issue, memPortFree);
             stall_struct = s - issue;
             runStats.stallStructural += stall_struct;
@@ -287,11 +329,7 @@ CoreTimingModel::run(uint64_t max_insts)
             memPortFree = issue + 1;
             dispatch = issue;
 
-            Addr ea = rs1_val
-                + (rv32::isAmoOp(in.op) || in.op == Op::LR_W
-                           || in.op == Op::SC_W
-                       ? 0
-                       : in.imm);
+            Addr ea = rs1_val + (dec.immOffset ? in.imm : 0);
             bool local = amap::isLocalDmem(ea)
                 || amap::isLocalSlice0(ea);
             Cycles lat = local ? cfg.loadLatency : cfg.remoteLatency;
@@ -300,7 +338,7 @@ CoreTimingModel::run(uint64_t max_insts)
             else
                 ++runStats.remoteOps;
 
-            if (in.writesRd()) {
+            if (dec.writesRd) {
                 Cycles done = issue + lat;
                 regReady[in.rd] = done; // bypass at fill
                 Cycles wb = bookWbPort(done);
@@ -315,8 +353,7 @@ CoreTimingModel::run(uint64_t max_insts)
                 wb_t = done_t;
                 end_time = std::max(end_time, issue + 1);
             }
-        } else if (in.op == Op::DIV || in.op == Op::DIVU
-                   || in.op == Op::REM || in.op == Op::REMU) {
+        } else if (dec.unit == Unit::Div) {
             Cycles s = std::max(issue, divFree);
             stall_struct = s - issue;
             runStats.stallStructural += stall_struct;
@@ -331,8 +368,7 @@ CoreTimingModel::run(uint64_t max_insts)
             rdy_t = done;
             wb_t = wb;
             end_time = std::max(end_time, wb + 1);
-        } else if (in.op == Op::MUL || in.op == Op::MULH
-                   || in.op == Op::MULHSU || in.op == Op::MULHU) {
+        } else if (dec.unit == Unit::Mul) {
             dispatch = issue;
             Cycles done = issue + cfg.mulLatency;
             regReady[in.rd] = done;
@@ -348,7 +384,7 @@ CoreTimingModel::run(uint64_t max_insts)
             Cycles done = issue + 1;
             done_t = done;
             wb_t = done;
-            if (in.writesRd()) {
+            if (dec.writesRd) {
                 regReady[in.rd] = done; // full bypass
                 Cycles wb = bookWbPort(done);
                 regWbDone[in.rd] = wb;
@@ -362,8 +398,7 @@ CoreTimingModel::run(uint64_t max_insts)
 
         // Architectural execution and fetch redirect.
         exec.step();
-        bool taken = rv32::isControlOp(in.op)
-            && exec.pc() != pc_before + 4;
+        bool taken = dec.control && exec.pc() != pc_before + 4;
         fetchReady = issue + 1;
         if (taken) {
             fetchReady += cfg.branchPenalty;
@@ -379,9 +414,9 @@ CoreTimingModel::run(uint64_t max_insts)
             rec.rd = in.rd;
             rec.rs1 = in.rs1;
             rec.rs2 = in.rs2;
-            rec.writesRd = in.writesRd();
-            rec.readsRs1 = in.readsRs1();
-            rec.readsRs2 = in.readsRs2();
+            rec.writesRd = dec.writesRd;
+            rec.readsRs1 = dec.readsRs1;
+            rec.readsRs2 = dec.readsRs2;
             rec.fetch = fetch;
             rec.issue = issue;
             rec.dispatch = cmem_op ? dispatch : issue;

@@ -36,7 +36,6 @@
 #define MAICC_CORE_TIMING_HH
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "common/sim_component.hh"
@@ -78,12 +77,37 @@ class CoreTimingModel : public SimComponent
     void recordStats() override;
 
   private:
+    /** The timing class of an instruction: which unit it uses. */
+    enum class Unit : uint8_t { Alu, CMem, Mem, Div, Mul };
+
+    /**
+     * What the timing loop needs of one program instruction,
+     * decoded once at construction (the program is borrowed, like
+     * the executor's, and must not change while the model lives).
+     */
+    struct Decoded
+    {
+        Unit unit = Unit::Alu;
+        bool readsRs1 = false;
+        bool readsRs2 = false;
+        bool writesRd = false;
+        bool control = false;   ///< branch or jump
+        bool immOffset = false; ///< memory address is rs1 + imm
+    };
+
     /** Book a write-back port at or after @p ready; @return slot. */
     Cycles bookWbPort(Cycles ready);
+
+    /**
+     * Slide the booking window's start up to @p front, the in-order
+     * issue front: no later instruction completes before it.
+     */
+    void advanceWbWindow(Cycles front);
 
     const CoreConfig cfg;
     rv32::Executor exec;
     CMem *cmem;
+    std::vector<Decoded> decoded; ///< per instruction, by pc / 4
 
     // Resource availability state, all in absolute cycles.
     std::vector<Cycles> regReady;     ///< bypass-ready time
@@ -100,8 +124,16 @@ class CoreTimingModel : public SimComponent
      * Write-back port occupancy per cycle. Ports are arbitrated at
      * completion time (not issue time), so a long-latency CMem
      * result does not block earlier-completing ALU write-backs.
+     *
+     * A sliding window over cycles [wbBase, wbBase + size): cycle c
+     * counts its bookings in wbBooked[c % size] (size a power of
+     * two). Only cycles in [wbBase, wbEnd) may be non-zero. The
+     * window doubles whenever a booking lands past its end, so any
+     * horizon (a remote latency of 100,000 cycles, say) fits.
      */
-    std::map<Cycles, unsigned> wbBookings;
+    std::vector<unsigned> wbBooked;
+    Cycles wbBase = 0; ///< earliest cycle that can still be booked
+    Cycles wbEnd = 0;  ///< one past the latest booked cycle
     std::deque<Cycles> cmemDispatch;  ///< recent CMem dispatch times
     Cycles lastCMemDispatch = 0;
     Cycles divFree = 0;

@@ -1,12 +1,50 @@
 #include "noc/noc.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
 
 namespace maicc
 {
+
+namespace
+{
+
+/** Input port a flit lands on after leaving through @p out_dir. */
+constexpr int kArrivalDir[MeshNoc::numDirs] = {
+    -1, MeshNoc::dirWest, MeshNoc::dirEast, MeshNoc::dirNorth,
+    MeshNoc::dirSouth};
+
+void
+setBit(std::vector<uint64_t> &words, NodeId n)
+{
+    words[n / 64] |= uint64_t(1) << (n % 64);
+}
+
+void
+clearBit(std::vector<uint64_t> &words, NodeId n)
+{
+    words[n / 64] &= ~(uint64_t(1) << (n % 64));
+}
+
+/**
+ * Call @p fn on every set bit of @p words in ascending node id.
+ * Each word is read before its bits are visited, so @p fn may
+ * clear the bit it was called for.
+ */
+template <typename Fn>
+void
+forEachSetBit(const std::vector<uint64_t> &words, Fn fn)
+{
+    for (size_t w = 0; w < words.size(); ++w) {
+        for (uint64_t bits = words[w]; bits; bits &= bits - 1)
+            fn(NodeId(w * 64 + std::countr_zero(bits)));
+    }
+}
+
+} // namespace
 
 // The trace layer names ports without including this header; keep
 // the two numberings locked together.
@@ -20,11 +58,16 @@ static_assert(MeshNoc::numDirs == trace::kDirInject);
 MeshNoc::MeshNoc(const NocConfig &config)
     : SimComponent("noc"), cfg(config),
       routers(cfg.width * cfg.height),
+      slots(size_t(cfg.width) * cfg.height * numDirs
+            * cfg.queueDepth),
+      neighbour(size_t(cfg.width) * cfg.height * numDirs, -1),
       injectQueues(cfg.width * cfg.height),
       deliverQueues(cfg.width * cfg.height),
       injProgress(cfg.width * cfg.height, 0),
       frontPacketIdx(cfg.width * cfg.height, 0),
-      routerFlits(cfg.width * cfg.height, 0)
+      routerFlits(cfg.width * cfg.height, 0),
+      activeRouters((cfg.width * cfg.height + 63) / 64, 0),
+      activeInjectors((cfg.width * cfg.height + 63) / 64, 0)
 {
     maicc_assert(cfg.width >= 1 && cfg.height >= 1);
     maicc_assert(cfg.queueDepth >= 1);
@@ -32,6 +75,21 @@ MeshNoc::MeshNoc(const NocConfig &config)
         for (int d = 0; d < numDirs; ++d) {
             r.outLockedTo[d] = -1;
             r.rrNext[d] = 0;
+        }
+    }
+    coords.reserve(routers.size());
+    for (int y = 0; y < cfg.height; ++y) {
+        for (int x = 0; x < cfg.width; ++x) {
+            coords.push_back({x, y});
+            NodeId *out = &neighbour[size_t(nodeId(x, y)) * numDirs];
+            if (x + 1 < cfg.width)
+                out[dirEast] = nodeId(x + 1, y);
+            if (x > 0)
+                out[dirWest] = nodeId(x - 1, y);
+            if (y + 1 < cfg.height)
+                out[dirSouth] = nodeId(x, y + 1);
+            if (y > 0)
+                out[dirNorth] = nodeId(x, y - 1);
         }
     }
 }
@@ -42,7 +100,7 @@ MeshNoc::reset()
     cycle = 0;
     for (auto &r : routers) {
         for (int d = 0; d < numDirs; ++d) {
-            r.in[d].q.clear();
+            r.in[d] = InputQueue{};
             r.outLockedTo[d] = -1;
             r.rrNext[d] = 0;
         }
@@ -62,8 +120,8 @@ MeshNoc::reset()
     std::fill(routerFlits.begin(), routerFlits.end(), 0u);
     queuedFlits = 0;
     pendingInjectPackets = 0;
-    activeRouters.clear();
-    activeInjectors.clear();
+    std::fill(activeRouters.begin(), activeRouters.end(), 0);
+    std::fill(activeInjectors.begin(), activeInjectors.end(), 0);
     lastTickProgress = false;
     SimComponent::reset();
 }
@@ -95,7 +153,7 @@ MeshNoc::hops(NodeId a, NodeId b) const
 int
 MeshNoc::route(NodeId at, NodeId dst) const
 {
-    NodeCoord ca = coord(at), cd = coord(dst);
+    const NodeCoord &ca = coords[at], &cd = coords[dst];
     if (ca.x < cd.x)
         return dirEast;
     if (ca.x > cd.x)
@@ -105,33 +163,6 @@ MeshNoc::route(NodeId at, NodeId dst) const
     if (ca.y > cd.y)
         return dirNorth;
     return dirLocal;
-}
-
-void
-MeshNoc::downstream(NodeId at, int out_dir, NodeId &next,
-                    int &in_dir) const
-{
-    NodeCoord c = coord(at);
-    switch (out_dir) {
-      case dirEast:
-        next = nodeId(c.x + 1, c.y);
-        in_dir = dirWest;
-        return;
-      case dirWest:
-        next = nodeId(c.x - 1, c.y);
-        in_dir = dirEast;
-        return;
-      case dirSouth:
-        next = nodeId(c.x, c.y + 1);
-        in_dir = dirNorth;
-        return;
-      case dirNorth:
-        next = nodeId(c.x, c.y - 1);
-        in_dir = dirSouth;
-        return;
-      default:
-        maicc_panic("no downstream for local port");
-    }
 }
 
 void
@@ -149,41 +180,51 @@ MeshNoc::inject(Packet pkt)
                                  pkt.sizeFlits, pkt.injectTime});
     }
     ++pendingInjectPackets;
-    activeInjectors.insert(pkt.src);
+    setBit(activeInjectors, pkt.src);
     injectQueues[pkt.src].push_back(pkt);
 }
 
 void
-MeshNoc::pushRouterFlit(NodeId n, int in_dir, const Flit &f)
+MeshNoc::pushRouterFlit(NodeId n, int in_dir, Flit f)
 {
-    routers[n].in[in_dir].q.push_back(f);
+    InputQueue &q = routers[n].in[in_dir];
+    maicc_assert(q.size < cfg.queueDepth);
+    uint32_t k = q.front + q.size;
+    if (k >= cfg.queueDepth)
+        k -= cfg.queueDepth;
+    f.outDir = static_cast<int8_t>(route(n, f.dst));
+    slots[slotIndex(n, in_dir, k)] = f;
+    ++q.size;
     ++queuedFlits;
     if (routerFlits[n]++ == 0)
-        activeRouters.insert(n);
+        setBit(activeRouters, n);
 }
 
 void
 MeshNoc::popRouterFlit(NodeId n, int in_dir)
 {
-    routers[n].in[in_dir].q.pop_front();
+    InputQueue &q = routers[n].in[in_dir];
+    if (++q.front == cfg.queueDepth)
+        q.front = 0;
+    --q.size;
     --queuedFlits;
     if (--routerFlits[n] == 0)
-        activeRouters.erase(n);
+        clearBit(activeRouters, n);
 }
 
 Cycles
 MeshNoc::nextFrontReadyAtOrAfter(Cycles from) const
 {
     Cycles best = kNeverReady;
-    for (NodeId n : activeRouters) {
-        for (const auto &in : routers[n].in) {
-            if (in.q.empty())
+    forEachSetBit(activeRouters, [&](NodeId n) {
+        for (int d = 0; d < numDirs; ++d) {
+            if (routers[n].in[d].size == 0)
                 continue;
-            Cycles r = in.q.front().readyAt;
+            Cycles r = front(n, d).readyAt;
             if (r >= from && r < best)
                 best = r;
         }
-    }
+    });
     return best;
 }
 
@@ -234,86 +275,141 @@ MeshNoc::avgPacketLatency() const
 }
 
 void
+MeshNoc::arbitrate(NodeId n)
+{
+    // Phase 1: each output port picks at most one eligible input,
+    // based on start-of-cycle queue state. One pass over the five
+    // inputs collects the eligible fronts: `ready` holds every
+    // input whose front has cleared the router pipeline, and
+    // `request[o]` the ready inputs whose front is a head flit
+    // routed (at push) to output o.
+    Router &r = routers[n];
+    unsigned ready = 0;
+    unsigned request[numDirs] = {};
+    for (int i = 0; i < numDirs; ++i) {
+        if (r.in[i].size == 0)
+            continue;
+        const Flit &f = front(n, i);
+        if (f.readyAt > cycle)
+            continue;
+        ready |= 1u << i;
+        if (f.head)
+            request[f.outDir] |= 1u << i;
+    }
+    if (ready == 0)
+        return;
+    for (int o = 0; o < numDirs; ++o) {
+        int candidate;
+        bool fresh_grant = false;
+        if (r.outLockedTo[o] >= 0) {
+            // A locked output keeps its packet's input until the
+            // tail passes.
+            candidate = r.outLockedTo[o];
+            if (!(ready >> candidate & 1))
+                continue;
+        } else {
+            if (request[o] == 0)
+                continue;
+            // Round robin: the first requester at or after
+            // rrNext[o], wrapping — the inputs rotated so rrNext[o]
+            // is bit 0, then the lowest set bit.
+            unsigned rr = r.rrNext[o];
+            unsigned rotated = (request[o] >> rr
+                                | request[o] << (numDirs - rr))
+                & ((1u << numDirs) - 1);
+            candidate = int(rr + std::countr_zero(rotated));
+            if (candidate >= numDirs)
+                candidate -= numDirs;
+            fresh_grant = true;
+        }
+        // Credit check: space downstream (ejection is free).
+        if (o != dirLocal) {
+            NodeId next = neighbour[size_t(n) * numDirs + o];
+            if (routers[next].in[kArrivalDir[o]].size
+                >= cfg.queueDepth)
+                continue;
+        }
+        // The round-robin pointer advances only when the grant
+        // commits: a winner dropped by the credit check keeps its
+        // priority next cycle instead of losing the slot to whoever
+        // the pointer lands on (starvation under sustained
+        // backpressure).
+        if (fresh_grant)
+            r.rrNext[o] = (candidate + 1) % numDirs;
+        moves.push_back({n, candidate, o});
+    }
+}
+
+void
+MeshNoc::injectOne(NodeId n)
+{
+    auto &q = injectQueues[n];
+    if (routers[n].in[dirLocal].size >= cfg.queueDepth)
+        return;
+    Packet &pkt = q.front();
+    unsigned &progress = injProgress[n];
+    if (progress == 0) {
+        // Allocate an in-flight table slot on the head flit.
+        uint32_t idx;
+        if (!freeSlots.empty()) {
+            idx = freeSlots.back();
+            freeSlots.pop_back();
+            inFlight[idx] = pkt;
+        } else {
+            idx = static_cast<uint32_t>(inFlight.size());
+            inFlight.push_back(pkt);
+        }
+        frontPacketIdx[n] = idx;
+    }
+    Flit flit;
+    flit.head = (progress == 0);
+    flit.tail = (progress == pkt.sizeFlits - 1);
+    flit.dst = pkt.dst;
+    flit.packetIdx = frontPacketIdx[n];
+    flit.readyAt = cycle + 1 + cfg.routerLatency;
+    if (trace::kEnabled && sink) {
+        sink->flits.push_back({pkt.id, n, trace::kDirInject,
+                               static_cast<int8_t>(dirLocal),
+                               flit.head, flit.tail, cycle});
+    }
+    pushRouterFlit(n, dirLocal, flit);
+    lastTickProgress = true;
+    ++progress;
+    if (progress == pkt.sizeFlits) {
+        progress = 0;
+        q.pop_front();
+        --pendingInjectPackets;
+        if (q.empty())
+            clearBit(activeInjectors, n);
+    }
+}
+
+void
 MeshNoc::tick()
 {
-    struct Move
-    {
-        NodeId router;
-        int in_dir;
-        int out_dir;
-    };
-    std::vector<Move> moves;
-
-    // Phase 1: each output port picks at most one eligible input,
-    // based on start-of-cycle queue state. Only routers holding
-    // flits are walked — a flit-less router can produce no
-    // candidate — in ascending router id, so the move list is the
-    // one a sweep over every router would build.
-    auto arbitrate = [&](NodeId n) {
-        Router &r = routers[n];
-        for (int o = 0; o < numDirs; ++o) {
-            int candidate = -1;
-            bool fresh_grant = false;
-            if (r.outLockedTo[o] >= 0) {
-                int i = r.outLockedTo[o];
-                if (!r.in[i].q.empty()
-                    && r.in[i].q.front().readyAt <= cycle)
-                    candidate = i;
-            } else {
-                for (int k = 0; k < numDirs; ++k) {
-                    int i = (r.rrNext[o] + k) % numDirs;
-                    const auto &q = r.in[i].q;
-                    if (q.empty() || !q.front().head
-                        || q.front().readyAt > cycle)
-                        continue;
-                    if (route(n, q.front().dst) != o)
-                        continue;
-                    candidate = i;
-                    fresh_grant = true;
-                    break;
-                }
-            }
-            if (candidate < 0)
-                continue;
-            // Credit check: space downstream (ejection is free).
-            if (o != dirLocal) {
-                NodeId next;
-                int in_dir;
-                downstream(n, o, next, in_dir);
-                if (routers[next].in[in_dir].q.size()
-                    >= cfg.queueDepth)
-                    continue;
-            }
-            // The round-robin pointer advances only when the grant
-            // commits: a winner dropped by the credit check keeps
-            // its priority next cycle instead of losing the slot to
-            // whoever the pointer lands on (starvation under
-            // sustained backpressure).
-            if (fresh_grant)
-                r.rrNext[o] = (candidate + 1) % numDirs;
-            moves.push_back({n, candidate, o});
-        }
-    };
-    for (NodeId n : activeRouters)
-        arbitrate(n);
+    // Phase 1 walks only routers holding flits — a flit-less router
+    // can produce no candidate — in ascending router id, so the
+    // move list is the one a sweep over every router would build.
+    moves.clear();
+    forEachSetBit(activeRouters, [this](NodeId n) { arbitrate(n); });
 
     // Phase 2: commit the moves simultaneously.
     for (const Move &m : moves) {
         Router &r = routers[m.router];
-        Flit flit = r.in[m.in_dir].q.front();
-        popRouterFlit(m.router, m.in_dir);
+        Flit flit = front(m.router, m.inDir);
+        popRouterFlit(m.router, m.inDir);
         if (flit.head)
-            r.outLockedTo[m.out_dir] = m.in_dir;
+            r.outLockedTo[m.outDir] = m.inDir;
         if (flit.tail)
-            r.outLockedTo[m.out_dir] = -1;
+            r.outLockedTo[m.outDir] = -1;
         if (trace::kEnabled && sink) {
             sink->flits.push_back(
                 {inFlight[flit.packetIdx].id, m.router,
-                 static_cast<int8_t>(m.in_dir),
-                 static_cast<int8_t>(m.out_dir), flit.head,
+                 static_cast<int8_t>(m.inDir),
+                 static_cast<int8_t>(m.outDir), flit.head,
                  flit.tail, cycle});
         }
-        if (m.out_dir == dirLocal) {
+        if (m.outDir == dirLocal) {
             if (flit.tail) {
                 Packet &pkt = inFlight[flit.packetIdx];
                 latencySum +=
@@ -326,72 +422,20 @@ MeshNoc::tick()
                 freeSlots.push_back(flit.packetIdx);
             }
         } else {
-            NodeId next;
-            int in_dir;
-            downstream(m.router, m.out_dir, next, in_dir);
             flit.readyAt = cycle + 1 + cfg.routerLatency;
-            pushRouterFlit(next, in_dir, flit);
+            pushRouterFlit(
+                neighbour[size_t(m.router) * numDirs + m.outDir],
+                kArrivalDir[m.outDir], flit);
             ++flitHopCount;
         }
     }
 
     // Phase 3: injection, one flit per node per cycle. As in
-    // phase 1, only nodes with a non-empty inject queue are walked
-    // (in ascending node id, via the ordered set) — every skipped
-    // node would have nothing to inject anyway.
-    bool injected = false;
-    auto inject_one = [&](NodeId n) {
-        auto &q = injectQueues[n];
-        if (q.empty())
-            return;
-        auto &local = routers[n].in[dirLocal].q;
-        if (local.size() >= cfg.queueDepth)
-            return;
-        Packet &pkt = q.front();
-        unsigned &progress = injProgress[n];
-        if (progress == 0) {
-            // Allocate an in-flight table slot on the head flit.
-            uint32_t slot;
-            if (!freeSlots.empty()) {
-                slot = freeSlots.back();
-                freeSlots.pop_back();
-                inFlight[slot] = pkt;
-            } else {
-                slot = static_cast<uint32_t>(inFlight.size());
-                inFlight.push_back(pkt);
-            }
-            frontPacketIdx[n] = slot;
-        }
-        Flit flit;
-        flit.head = (progress == 0);
-        flit.tail = (progress == pkt.sizeFlits - 1);
-        flit.dst = pkt.dst;
-        flit.packetIdx = frontPacketIdx[n];
-        flit.readyAt = cycle + 1 + cfg.routerLatency;
-        if (trace::kEnabled && sink) {
-            sink->flits.push_back(
-                {pkt.id, n, trace::kDirInject,
-                 static_cast<int8_t>(dirLocal), flit.head,
-                 flit.tail, cycle});
-        }
-        pushRouterFlit(n, dirLocal, flit);
-        injected = true;
-        ++progress;
-        if (progress == pkt.sizeFlits) {
-            progress = 0;
-            q.pop_front();
-            --pendingInjectPackets;
-            if (q.empty())
-                activeInjectors.erase(n);
-        }
-    };
-    // Snapshot: inject_one erases a drained node from the set.
-    std::vector<NodeId> injectors(activeInjectors.begin(),
-                                  activeInjectors.end());
-    for (NodeId n : injectors)
-        inject_one(n);
-
-    lastTickProgress = !moves.empty() || injected;
+    // phase 1, only nodes with a non-empty inject queue are walked,
+    // in ascending node id — every skipped node would have nothing
+    // to inject anyway.
+    lastTickProgress = !moves.empty();
+    forEachSetBit(activeInjectors, [this](NodeId n) { injectOne(n); });
     ++cycle;
 }
 

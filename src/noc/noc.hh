@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "common/sim_component.hh"
@@ -148,16 +147,23 @@ class MeshNoc : public SimComponent
   private:
     struct Flit
     {
-        bool head = false;
-        bool tail = false;
+        Cycles readyAt = 0;     ///< router-pipeline eligibility
         NodeId dst = 0;
         uint32_t packetIdx = 0; ///< index into inFlight
-        Cycles readyAt = 0;     ///< router-pipeline eligibility
+        int8_t outDir = 0;      ///< route() at the holding router
+        bool head = false;
+        bool tail = false;
     };
 
+    /**
+     * One input queue: a ring of cfg.queueDepth slots in `slots`.
+     * Credits never let more than queueDepth flits in, so the ring
+     * cannot overflow.
+     */
     struct InputQueue
     {
-        std::deque<Flit> q;
+        uint32_t front = 0; ///< ring index of the oldest flit
+        uint32_t size = 0;
     };
 
     struct Router
@@ -167,17 +173,41 @@ class MeshNoc : public SimComponent
         unsigned rrNext[numDirs]; ///< round-robin pointer
     };
 
+    /** A granted output of one tick: phase 1 builds, phase 2 commits. */
+    struct Move
+    {
+        NodeId router;
+        int inDir;
+        int outDir;
+    };
+
     /** X-Y route: output direction at router @p at for @p dst. */
     int route(NodeId at, NodeId dst) const;
 
-    /** Router/direction the given output port feeds into. */
-    void downstream(NodeId at, int out_dir, NodeId &next,
-                    int &in_dir) const;
+    /** Index in `slots` of ring slot @p k of input @p in_dir at
+     * router @p n. */
+    size_t
+    slotIndex(NodeId n, int in_dir, uint32_t k) const
+    {
+        return (size_t(n) * numDirs + in_dir) * cfg.queueDepth + k;
+    }
+    /** The oldest flit of a non-empty input queue. */
+    const Flit &
+    front(NodeId n, int in_dir) const
+    {
+        return slots[slotIndex(n, in_dir, routers[n].in[in_dir].front)];
+    }
 
-    /** Queue-maintenance helpers keeping the active sets and the
-     * O(1) idle() counters consistent with every push/pop. */
-    void pushRouterFlit(NodeId n, int in_dir, const Flit &f);
+    /** Queue-maintenance helpers keeping the active bitsets and the
+     * O(1) idle() counters consistent with every push/pop. The push
+     * routes the flit for router @p n. */
+    void pushRouterFlit(NodeId n, int in_dir, Flit f);
     void popRouterFlit(NodeId n, int in_dir);
+
+    /** Phase 1 for one router: append its granted moves. */
+    void arbitrate(NodeId n);
+    /** Phase 3 for one node: inject at most one flit. */
+    void injectOne(NodeId n);
 
     /**
      * Earliest front-flit pipeline eligibility at or after
@@ -191,12 +221,18 @@ class MeshNoc : public SimComponent
     NocConfig cfg;
     Cycles cycle = 0;
     std::vector<Router> routers;
+    std::vector<Flit> slots; ///< every input ring, router-major
+    /** Router fed by output `dir` of router `n` at n * numDirs +
+     * dir; -1 off the mesh edge and for the local port. */
+    std::vector<NodeId> neighbour;
+    std::vector<NodeCoord> coords; ///< coord(n), without a division
     std::vector<std::deque<Packet>> injectQueues;
     std::vector<std::deque<Packet>> deliverQueues;
     std::vector<Packet> inFlight;     ///< packet table slots
     std::vector<uint32_t> freeSlots;  ///< recycled table slots
     std::vector<unsigned> injProgress;    ///< per-node flit count
     std::vector<uint32_t> frontPacketIdx; ///< per-node table slot
+    std::vector<Move> moves;          ///< this tick's grants
     uint64_t nextPacketId = 1;
     uint64_t flitHopCount = 0;
     uint64_t deliveredCount = 0;
@@ -204,16 +240,17 @@ class MeshNoc : public SimComponent
 
     // Active-set / O(1)-idle bookkeeping (kept consistent by
     // pushRouterFlit/popRouterFlit and the injection path).
-    // activeRouters/activeInjectors are ordered sets: tick()
-    // iterates them in ascending node id, the same relative order
-    // as a sweep over every node — that is what keeps the move
-    // list (and thus every commit, stat update, and floating-point
-    // accumulation) identical to a full sweep's.
+    // activeRouters/activeInjectors are bitsets, one bit per node,
+    // walked low word first and lowest bit first: ascending node
+    // id, the same relative order as a sweep over every node —
+    // that is what keeps the move list (and thus every commit,
+    // stat update, and floating-point accumulation) identical to a
+    // full sweep's.
     std::vector<uint32_t> routerFlits; ///< flits queued per router
     uint64_t queuedFlits = 0;          ///< total router-queued flits
     uint64_t pendingInjectPackets = 0; ///< packets not fully injected
-    std::set<NodeId> activeRouters;    ///< routers with >=1 flit
-    std::set<NodeId> activeInjectors;  ///< nodes with inject backlog
+    std::vector<uint64_t> activeRouters;   ///< routers with >=1 flit
+    std::vector<uint64_t> activeInjectors; ///< nodes with backlog
     bool lastTickProgress = false; ///< last tick moved/injected
 };
 

@@ -217,6 +217,32 @@ TEST(CoreTiming, TwoWbPortsRelieveContention)
     EXPECT_LE(h2.run().cycles, h1.run().cycles);
 }
 
+TEST(CoreTiming, BookingWindowGrowthKeepsLiveBookings)
+{
+    // The mul books write-back cycle t+3. The DRAM load behind it
+    // books a cycle ~100,000 ahead, which grows the booking window
+    // while the mul's booking is still live. The first add then
+    // completes at t+3 too, finds the port taken and writes back
+    // at t+4, so the second add (same rd) waits one WAW cycle. The
+    // short-latency run never grows the window and agrees.
+    for (Cycles remote : {Cycles(20), Cycles(100'000)}) {
+        SCOPED_TRACE(remote);
+        Assembler a;
+        a.li(t0, static_cast<int32_t>(0x80000000u));
+        a.mul(t1, zero, zero);
+        a.lw(t2, t0, 0);
+        a.add(t3, zero, zero);
+        a.add(t3, zero, zero);
+        a.ecall();
+        CoreConfig cfg;
+        cfg.remoteLatency = remote;
+        TimingHarness h(a.finish(), cfg);
+        auto st = h.run();
+        EXPECT_EQ(st.stallWaw, 1u);
+        EXPECT_EQ(st.remoteOps, 1u);
+    }
+}
+
 TEST(CoreTiming, RemoteAccessIsNonBlocking)
 {
     CoreConfig cfg;

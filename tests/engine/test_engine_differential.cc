@@ -18,6 +18,19 @@
  *  - MaiccSystem end-to-end runs (cycles, segments, activity);
  *  - serving and cluster --stats-json dumps.
  *
+ * A second set pins the cycle-level kernels' corner cases. It was
+ * captured from the event kernel as it stood before the NoC moved
+ * to flat ring queues and request-mask arbitration and the core
+ * to a windowed write-back booking:
+ *
+ *  - MeshNoc on 5x3 and 12x12 meshes, with queue depth 1 and 2,
+ *    with zero router latency, and under per-cycle injection far
+ *    above saturation;
+ *  - CoreTimingModel on random programs with two write-back
+ *    ports, CMem queue depths 0 and 4, and a 100,000-cycle remote
+ *    latency, and the full CoreRunStats of the Table 4 conv on a
+ *    MAICC node and on the scalar core.
+ *
  * The policy_*.txt goldens pin admission instead: per policy (fifo,
  * sjf, priority, with and without backfill, plus whole-queue
  * batching) a 2-chip run's stats dump and every request record,
@@ -29,6 +42,8 @@
  *
  *  - the NoC's per-cycle tick() loop against the skip-ahead
  *    drain();
+ *  - a reset() NoC rerun against a fresh mesh, and a reset() core
+ *    against its cold state;
  *  - DRAM per-cycle polling against the event-kernel drainVia();
  *  - 1 against 8 host threads, with the timing-result cache off
  *    or cold;
@@ -53,12 +68,15 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/scalar_conv.hh"
 #include "cmem/cmem.hh"
 #include "common/json.hh"
 #include "common/rand_program.hh"
 #include "common/random.hh"
 #include "common/serving_fixtures.hh"
 #include "common/sim_component.hh"
+#include "core/conv_kernel.hh"
+#include "core/scheduler.hh"
 #include "core/timing.hh"
 #include "dram/dram.hh"
 #include "engine/event_queue.hh"
@@ -126,7 +144,8 @@ nocText(MeshNoc &noc)
     os << "delivered " << noc.packetsDelivered() << "\n";
     os << "avgPacketLatency " << exact(noc.avgPacketLatency())
        << "\n";
-    for (NodeId n = 0; n < 256; ++n) {
+    const NodeId nodes = noc.config().width * noc.config().height;
+    for (NodeId n = 0; n < nodes; ++n) {
         const auto &d = noc.delivered(n);
         if (d.empty())
             continue;
@@ -157,14 +176,15 @@ std::string
 runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
               unsigned waves, bool per_cycle)
 {
+    const unsigned nodes = noc.config().width * noc.config().height;
     Rng rng(seed);
     for (unsigned w = 0; w < waves; ++w) {
         for (unsigned i = 0; i < packets; ++i) {
             Packet p;
-            p.src = NodeId(rng.below(256));
-            p.dst = NodeId(rng.below(256));
-            if (p.dst == p.src)
-                p.dst = (p.src + 1) % 256;
+            p.src = NodeId(rng.below(nodes));
+            p.dst = NodeId(rng.below(nodes));
+            if (p.dst == p.src && nodes > 1)
+                p.dst = (p.src + 1) % nodes;
             p.sizeFlits = unsigned(1 + rng.below(9));
             p.tag = w * 1000 + i;
             noc.inject(p);
@@ -179,11 +199,12 @@ runNocTraffic(MeshNoc &noc, uint64_t seed, unsigned packets,
 
 void
 expectNocGolden(const std::string &name, uint64_t seed,
-                unsigned packets, unsigned waves)
+                unsigned packets, unsigned waves,
+                const NocConfig &cfg = NocConfig{})
 {
     SCOPED_TRACE("seed " + std::to_string(seed) + " packets "
                  + std::to_string(packets));
-    MeshNoc drained, ticked;
+    MeshNoc drained(cfg), ticked(cfg);
     std::string dj = runNocTraffic(drained, seed, packets, waves,
                                    false);
     std::string tj = runNocTraffic(ticked, seed, packets, waves,
@@ -229,6 +250,109 @@ TEST(EngineDifferential, NocSingleFlitAcrossTheMesh)
     expectGolden("noc_single_flit", dj);
 }
 
+TEST(EngineDifferential, NocMeshesNotAMultipleOf64Nodes)
+{
+    // 15 and 144 routers: any per-router bitset leaves a partial
+    // last word.
+    NocConfig small;
+    small.width = 5;
+    small.height = 3;
+    expectNocGolden("noc_mesh_5x3", 31, 60, 3, small);
+    NocConfig mid;
+    mid.width = 12;
+    mid.height = 12;
+    expectNocGolden("noc_mesh_12x12", 32, 300, 2, mid);
+}
+
+TEST(EngineDifferential, NocShallowInputQueues)
+{
+    // Depth 1 and 2: credits run out on almost every hop, so the
+    // credit check and a full input queue decide most cycles.
+    for (unsigned depth : {1u, 2u}) {
+        NocConfig cfg;
+        cfg.queueDepth = depth;
+        expectNocGolden("noc_depth" + std::to_string(depth),
+                        40 + depth, 300, 2, cfg);
+    }
+}
+
+TEST(EngineDifferential, NocZeroRouterLatency)
+{
+    // A flit becomes eligible the cycle after it lands.
+    NocConfig cfg;
+    cfg.routerLatency = 0;
+    expectNocGolden("noc_latency0", 51, 300, 2, cfg);
+}
+
+namespace
+{
+
+/**
+ * The node-kernels pattern: every cycle, each node injects a
+ * 5-flit packet with probability @p rate and the mesh ticks once;
+ * then drain() empties it. At 0.1 packets per node per cycle the
+ * offered load is far above the 16x16 mesh's saturation point, so
+ * the injection backlog grows throughout.
+ */
+std::string
+runSaturatedTraffic(MeshNoc &noc, uint64_t seed, Cycles cycles,
+                    double rate)
+{
+    const unsigned nodes = noc.config().width * noc.config().height;
+    Rng rng(seed);
+    for (Cycles t = 0; t < cycles; ++t) {
+        for (unsigned n = 0; n < nodes; ++n) {
+            if (rng.real() >= rate)
+                continue;
+            Packet p;
+            p.src = NodeId(n);
+            p.dst = NodeId(rng.below(nodes));
+            p.sizeFlits = 5;
+            p.tag = t * 1000 + n;
+            noc.inject(p);
+        }
+        noc.tick();
+    }
+    noc.drain();
+    return nocText(noc);
+}
+
+} // namespace
+
+TEST(EngineDifferential, NocPerCycleInjectionAboveSaturation)
+{
+    MeshNoc noc;
+    expectGolden("noc_saturated",
+                 runSaturatedTraffic(noc, 61, 300, 0.1));
+}
+
+TEST(EngineDifferential, NocResetRerunMatchesFreshMesh)
+{
+    NocConfig cfg;
+    cfg.width = 12;
+    cfg.height = 12;
+    cfg.queueDepth = 2;
+    MeshNoc fresh(cfg), reused(cfg);
+    std::string want = runSaturatedTraffic(fresh, 71, 200, 0.1);
+    // Leave the reused mesh mid-flight (queues, locks, round-robin
+    // pointers and injection backlog all non-trivial) before the
+    // reset.
+    Rng rng(72);
+    for (unsigned i = 0; i < 400; ++i) {
+        Packet p;
+        p.src = NodeId(rng.below(144));
+        p.dst = NodeId(rng.below(144));
+        p.sizeFlits = unsigned(1 + rng.below(9));
+        reused.inject(p);
+        reused.tick();
+    }
+    ASSERT_FALSE(reused.idle());
+    reused.reset();
+    EXPECT_TRUE(reused.idle());
+    EXPECT_EQ(reused.now(), Cycles(0));
+    EXPECT_EQ(runSaturatedTraffic(reused, 71, 200, 0.1), want);
+}
+
 namespace
 {
 
@@ -248,12 +372,37 @@ struct NodeState
 };
 
 CoreRunStats
-runCore(const rv32::Program &prog)
+runCore(const rv32::Program &prog, const CoreConfig &cfg = CoreConfig{})
 {
     NodeState ns(prog);
-    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows,
-                          CoreConfig{});
+    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows, cfg);
     return model.run();
+}
+
+/** Every CoreRunStats field on one line. */
+std::string
+coreStatsText(const CoreRunStats &s)
+{
+    std::ostringstream os;
+    os << "cycles " << s.cycles << " insts " << s.insts
+       << " cmemInsts " << s.cmemInsts << " cmemBusyCycles "
+       << s.cmemBusyCycles << " stallRaw " << s.stallRaw
+       << " stallWaw " << s.stallWaw << " stallQueueFull "
+       << s.stallQueueFull << " stallStructural "
+       << s.stallStructural << " branchPenaltyCycles "
+       << s.branchPenaltyCycles << " localMemOps " << s.localMemOps
+       << " remoteOps " << s.remoteOps;
+    return os.str();
+}
+
+std::vector<int8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<int8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<int8_t>(rng.range(-128, 127));
+    return v;
 }
 
 } // namespace
@@ -264,18 +413,114 @@ TEST(EngineDifferential, CoreTimingRandomPrograms)
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         Rng rng(seed);
         rv32::Program prog = testgen::randomProgram(rng);
-        CoreRunStats s = runCore(prog);
-        os << "seed " << seed << " cycles " << s.cycles
-           << " insts " << s.insts << " cmemInsts " << s.cmemInsts
-           << " cmemBusyCycles " << s.cmemBusyCycles
-           << " stallRaw " << s.stallRaw << " stallWaw "
-           << s.stallWaw << " stallQueueFull " << s.stallQueueFull
-           << " stallStructural " << s.stallStructural
-           << " branchPenaltyCycles " << s.branchPenaltyCycles
-           << " localMemOps " << s.localMemOps << " remoteOps "
-           << s.remoteOps << "\n";
+        os << "seed " << seed << " " << coreStatsText(runCore(prog))
+           << "\n";
     }
     expectGolden("core_random_programs", os.str());
+}
+
+TEST(EngineDifferential, CoreTimingRandomProgramsAcrossConfigs)
+{
+    struct Variant
+    {
+        const char *name;
+        CoreConfig cfg;
+    };
+    std::vector<Variant> variants;
+    auto add = [&](const char *name, auto tweak) {
+        CoreConfig cfg;
+        tweak(cfg);
+        variants.push_back({name, cfg});
+    };
+    // Two write-back ports: a slot takes two bookings before the
+    // next one spills into the following cycle.
+    add("wbPorts2", [](CoreConfig &c) { c.wbPorts = 2; });
+    add("queue0", [](CoreConfig &c) { c.cmemQueueSize = 0; });
+    add("queue4", [](CoreConfig &c) { c.cmemQueueSize = 4; });
+    add("queue4_wbPorts2", [](CoreConfig &c) {
+        c.cmemQueueSize = 4;
+        c.wbPorts = 2;
+    });
+    // DRAM loads book their write-back 100,000 cycles past issue,
+    // far beyond any fixed booking window.
+    add("remote100000",
+        [](CoreConfig &c) { c.remoteLatency = 100'000; });
+    add("remote100000_wbPorts2", [](CoreConfig &c) {
+        c.remoteLatency = 100'000;
+        c.wbPorts = 2;
+    });
+
+    std::ostringstream os;
+    for (const Variant &v : variants) {
+        for (uint64_t seed = 1; seed <= 8; ++seed) {
+            Rng rng(1000 + seed);
+            rv32::Program prog = testgen::randomProgram(rng);
+            os << v.name << " seed " << seed << " "
+               << coreStatsText(runCore(prog, v.cfg)) << "\n";
+        }
+    }
+    expectGolden("core_random_configs", os.str());
+}
+
+TEST(EngineDifferential, CoreTimingTable4Node)
+{
+    // Paper Table 4's conv, on one MAICC node (Algorithm 1, CMem
+    // bound) and on the scalar core (ALU and FlatMemory bound).
+    ConvNodeWorkload w;
+    auto ifmap = randomBytes(size_t(w.H) * w.W * w.C, 42);
+    auto filters =
+        randomBytes(size_t(w.numFilters) * w.R * w.S * w.C, 43);
+    auto ref = referenceConvNode(w, ifmap, filters);
+
+    rv32::Program prog = buildConvNodeProgram(w);
+    staticSchedule(prog);
+    NodeState ns(prog);
+    stageConvNode(w, ns.cmem, ns.rows, ifmap, filters);
+    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows,
+                          CoreConfig{});
+    CoreRunStats maicc = model.run();
+    std::vector<int8_t> out;
+    for (unsigned f = 0; f < w.numFilters; ++f)
+        for (unsigned ox = 0; ox < w.outH(); ++ox)
+            for (unsigned oy = 0; oy < w.outW(); ++oy)
+                out.push_back(static_cast<int8_t>(ns.nodeMem.peekDmem(
+                    convOutOffset(w, f, ox, oy))));
+    EXPECT_EQ(out, ref);
+
+    ScalarConvResult scalar = runScalarConv(w, ifmap, filters);
+    EXPECT_EQ(scalar.out, ref);
+
+    expectGolden("core_table4_node",
+                 "maicc " + coreStatsText(maicc) + "\nscalar "
+                     + coreStatsText(scalar.stats) + "\n");
+}
+
+TEST(EngineDifferential, CoreTimingResetThenRerun)
+{
+    // The executor cannot be rewound (reset() leaves architectural
+    // state alone), so the rerun retires nothing: what it shows is
+    // that reset() dropped every booking and busy-until time of the
+    // long-horizon first run, leaving a cold pipeline whose run
+    // ends at cycle 0.
+    Rng rng(7);
+    rv32::Program prog = testgen::randomProgram(rng);
+    CoreConfig cfg;
+    cfg.remoteLatency = 100'000;
+    NodeState ns(prog);
+    CoreTimingModel model(prog, ns.nodeMem, &ns.cmem, &ns.rows, cfg);
+    CoreRunStats first = model.run();
+    EXPECT_EQ(coreStatsText(first), coreStatsText(runCore(prog, cfg)));
+    ASSERT_GT(first.remoteOps, 0u);
+    uint32_t regs[32];
+    for (unsigned r = 0; r < 32; ++r)
+        regs[r] = model.executor().reg(r);
+
+    model.reset();
+    EXPECT_EQ(coreStatsText(model.run()),
+              coreStatsText(CoreRunStats{}));
+    for (unsigned r = 0; r < 32; ++r)
+        EXPECT_EQ(model.executor().reg(r), regs[r]) << "x" << r;
+    EXPECT_TRUE(model.executor().halted());
 }
 
 namespace
