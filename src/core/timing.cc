@@ -14,19 +14,20 @@ using rv32::Inst;
 using rv32::Op;
 
 CoreTimingModel::CoreTimingModel(const rv32::Program &program,
-                                 rv32::MemIf &mem, CMem *cm,
-                                 rv32::RowPortIf *rows,
+                                 NodeMemory &mem, CMem *cm,
+                                 RowPortIf *rows,
                                  const CoreConfig &config)
     : SimComponent("core"), cfg(config), exec(program, mem, cm, rows),
-      cmem(cm), regReady(32, 0), regWbDone(32, 0),
-      sliceFree(cm ? cm->config().numSlices : 0, 0),
+      cmem(cm), sliceFree(cm ? cm->config().numSlices : 0, 0),
       sliceDataReady(cm ? cm->config().numSlices : 0, 0),
-      wbBooked(256, 0)
+      wbSlots(256)
 {
     maicc_assert(config.wbPorts >= 1);
     decoded.reserve(program.insts.size());
     for (const Inst &in : program.insts) {
         Decoded d;
+        static_cast<rv32::InstFields &>(d) = in;
+        d.cmemN = in.cmemN;
         if (rv32::isCMemOp(in.op))
             d.unit = Unit::CMem;
         else if (rv32::isLoadOp(in.op) || rv32::isStoreOp(in.op)
@@ -51,14 +52,13 @@ CoreTimingModel::CoreTimingModel(const rv32::Program &program,
 void
 CoreTimingModel::reset()
 {
-    std::fill(regReady.begin(), regReady.end(), Cycles(0));
-    std::fill(regWbDone.begin(), regWbDone.end(), Cycles(0));
+    regReady.fill(0);
+    regWbDone.fill(0);
     std::fill(sliceFree.begin(), sliceFree.end(), Cycles(0));
     std::fill(sliceDataReady.begin(), sliceDataReady.end(),
               Cycles(0));
-    std::fill(wbBooked.begin(), wbBooked.end(), 0u);
+    std::fill(wbSlots.begin(), wbSlots.end(), WbSlot{});
     wbBase = 0;
-    wbEnd = 0;
     cmemDispatch.clear();
     lastCMemDispatch = 0;
     divFree = 0;
@@ -89,46 +89,31 @@ CoreTimingModel::recordStats()
     publish("branchPenaltyCycles", runStats.branchPenaltyCycles);
 }
 
-void
-CoreTimingModel::advanceWbWindow(Cycles front)
-{
-    if (front <= wbBase)
-        return;
-    // The slots of cycles that fall out of the window are reused
-    // by the cycles one window length later: zero them.
-    const Cycles mask = wbBooked.size() - 1;
-    for (Cycles c = wbBase; c < std::min(front, wbEnd); ++c)
-        wbBooked[c & mask] = 0;
-    wbBase = front;
-    wbEnd = std::max(wbEnd, front);
-}
-
 Cycles
-CoreTimingModel::bookWbPort(Cycles ready)
+CoreTimingModel::bookWbPortSlow(Cycles ready)
 {
     // The first cycle >= ready with bookings < wbPorts.
     maicc_assert(ready >= wbBase);
-    Cycles slot = ready;
-    while (true) {
-        if (slot - wbBase >= wbBooked.size()) {
+    for (Cycles slot = ready;; ++slot) {
+        if (slot - wbBase >= wbSlots.size()) {
             // Past the window's end: double it until the slot fits,
-            // re-placing the live cycles at their new positions.
-            size_t size = wbBooked.size();
+            // re-placing the cycles still in the window.
+            size_t size = wbSlots.size();
             while (slot - wbBase >= size)
                 size *= 2;
-            std::vector<unsigned> grown(size, 0);
-            for (Cycles c = wbBase; c < wbEnd; ++c)
-                grown[c & (size - 1)] =
-                    wbBooked[c & (wbBooked.size() - 1)];
-            wbBooked.swap(grown);
+            std::vector<WbSlot> grown(size);
+            for (const WbSlot &s : wbSlots) {
+                if (s.cycle >= wbBase)
+                    grown[s.cycle & (size - 1)] = s;
+            }
+            wbSlots.swap(grown);
         }
-        unsigned &booked = wbBooked[slot & (wbBooked.size() - 1)];
+        WbSlot &s = wbSlots[slot & (wbSlots.size() - 1)];
+        unsigned booked = s.cycle == slot ? s.booked : 0;
         if (booked < cfg.wbPorts) {
-            ++booked;
-            wbEnd = std::max(wbEnd, slot + 1);
+            s = {slot, booked + 1};
             return slot;
         }
-        ++slot;
     }
 }
 
@@ -144,9 +129,11 @@ CoreTimingModel::run(uint64_t max_insts)
             maicc_fatal("timing run exceeded %llu instructions",
                         (unsigned long long)max_insts);
 
-        const Inst &in = exec.current();
-        Addr pc_before = exec.pc();
-        const Decoded &dec = decoded[pc_before / 4];
+        const Addr pc_before = exec.pc();
+        const size_t idx = pc_before / 4;
+        if (idx >= decoded.size())
+            exec.badPc();
+        const Decoded &dec = decoded[idx];
         const bool tracing = trace::kEnabled && sink != nullptr;
 
         // Every booking this instruction makes is at or after its
@@ -156,8 +143,8 @@ CoreTimingModel::run(uint64_t max_insts)
         // Operand values before architectural execution: with
         // in-order issue these are exactly the values the hardware
         // reads.
-        uint32_t rs1_val = exec.reg(in.rs1);
-        uint32_t rs2_val = exec.reg(in.rs2);
+        uint32_t rs1_val = exec.reg(dec.rs1);
+        uint32_t rs2_val = exec.reg(dec.rs2);
 
         Cycles fetch = fetchReady;
         Cycles issue = fetchReady;
@@ -165,9 +152,9 @@ CoreTimingModel::run(uint64_t max_insts)
         // RAW interlock via the scoreboard / bypass network.
         Cycles raw = issue;
         if (dec.readsRs1)
-            raw = std::max(raw, regReady[in.rs1]);
+            raw = std::max(raw, regReady[dec.rs1]);
         if (dec.readsRs2)
-            raw = std::max(raw, regReady[in.rs2]);
+            raw = std::max(raw, regReady[dec.rs2]);
         Cycles stall_raw = raw - issue;
         runStats.stallRaw += stall_raw;
         issue = raw;
@@ -175,7 +162,7 @@ CoreTimingModel::run(uint64_t max_insts)
         // WAW: destination must have retired its previous write.
         Cycles stall_waw = 0;
         if (dec.writesRd) {
-            Cycles waw = std::max(issue, regWbDone[in.rd]);
+            Cycles waw = std::max(issue, regWbDone[dec.rd]);
             stall_waw = waw - issue;
             runStats.stallWaw += stall_waw;
             issue = waw;
@@ -197,7 +184,7 @@ CoreTimingModel::run(uint64_t max_insts)
 
         if (cmem_op) {
             maicc_assert(cmem);
-            switch (in.op) {
+            switch (dec.op) {
               case Op::MAC_C:
                 slice_a = rv32::descSlice(rs1_val);
                 break;
@@ -222,9 +209,9 @@ CoreTimingModel::run(uint64_t max_insts)
             }
 
             Cycles busy = 0;
-            switch (in.op) {
-              case Op::MAC_C: busy = CMem::maccCycles(in.cmemN); break;
-              case Op::MOVE_C: busy = CMem::moveCycles(in.cmemN); break;
+            switch (dec.op) {
+              case Op::MAC_C: busy = CMem::maccCycles(dec.cmemN); break;
+              case Op::MOVE_C: busy = CMem::moveCycles(dec.cmemN); break;
               case Op::SETROW_C: busy = CMem::setRowCycles(); break;
               case Op::SHIFTROW_C:
                 busy = CMem::shiftRowCycles();
@@ -240,14 +227,14 @@ CoreTimingModel::run(uint64_t max_insts)
             // SetMask.C is a 1-cycle CSR write (Table 2): it orders
             // with the slice's array ops at dispatch, but occupies
             // no array bank and is not CMem array busy time.
-            bool array_op = in.op != Op::SETMASK_C;
+            bool array_op = dec.op != Op::SETMASK_C;
 
             // Earliest the target slice(s) can accept the op.
             // LoadRow.RC only needs the slice port; compute ops
             // additionally wait for any in-flight remote rows.
             Cycles slice_ready =
                 std::max(lastCMemDispatch, sliceFree[slice_a]);
-            if (in.op != Op::LOADROW_RC) {
+            if (dec.op != Op::LOADROW_RC) {
                 slice_ready = std::max(slice_ready,
                                        sliceDataReady[slice_a]);
             }
@@ -297,7 +284,7 @@ CoreTimingModel::run(uint64_t max_insts)
             ++runStats.cmemInsts;
 
             Cycles done = dispatch + busy;
-            if (in.op == Op::LOADROW_RC) {
+            if (dec.op == Op::LOADROW_RC) {
                 // Remote round trip before the row lands; fetches
                 // pipeline (the slice port frees immediately).
                 done += cfg.remoteLatency;
@@ -309,8 +296,8 @@ CoreTimingModel::run(uint64_t max_insts)
             if (dec.writesRd) {
                 // CMem results return through the register file.
                 Cycles wb = bookWbPort(done);
-                regReady[in.rd] = wb;
-                regWbDone[in.rd] = wb;
+                regReady[dec.rd] = wb;
+                regWbDone[dec.rd] = wb;
                 rdy_t = wb;
                 wb_t = wb;
                 end_time = std::max(end_time, wb + 1);
@@ -329,7 +316,7 @@ CoreTimingModel::run(uint64_t max_insts)
             memPortFree = issue + 1;
             dispatch = issue;
 
-            Addr ea = rs1_val + (dec.immOffset ? in.imm : 0);
+            Addr ea = rs1_val + (dec.immOffset ? dec.imm : 0);
             bool local = amap::isLocalDmem(ea)
                 || amap::isLocalSlice0(ea);
             Cycles lat = local ? cfg.loadLatency : cfg.remoteLatency;
@@ -340,9 +327,9 @@ CoreTimingModel::run(uint64_t max_insts)
 
             if (dec.writesRd) {
                 Cycles done = issue + lat;
-                regReady[in.rd] = done; // bypass at fill
+                regReady[dec.rd] = done; // bypass at fill
                 Cycles wb = bookWbPort(done);
-                regWbDone[in.rd] = wb;
+                regWbDone[dec.rd] = wb;
                 done_t = done;
                 rdy_t = done;
                 wb_t = wb;
@@ -361,9 +348,9 @@ CoreTimingModel::run(uint64_t max_insts)
             dispatch = issue;
             Cycles done = issue + cfg.divLatency;
             divFree = done; // unpipelined
-            regReady[in.rd] = done;
+            regReady[dec.rd] = done;
             Cycles wb = bookWbPort(done);
-            regWbDone[in.rd] = wb;
+            regWbDone[dec.rd] = wb;
             done_t = done;
             rdy_t = done;
             wb_t = wb;
@@ -371,9 +358,9 @@ CoreTimingModel::run(uint64_t max_insts)
         } else if (dec.unit == Unit::Mul) {
             dispatch = issue;
             Cycles done = issue + cfg.mulLatency;
-            regReady[in.rd] = done;
+            regReady[dec.rd] = done;
             Cycles wb = bookWbPort(done);
-            regWbDone[in.rd] = wb;
+            regWbDone[dec.rd] = wb;
             done_t = done;
             rdy_t = done;
             wb_t = wb;
@@ -385,9 +372,9 @@ CoreTimingModel::run(uint64_t max_insts)
             done_t = done;
             wb_t = done;
             if (dec.writesRd) {
-                regReady[in.rd] = done; // full bypass
+                regReady[dec.rd] = done; // full bypass
                 Cycles wb = bookWbPort(done);
-                regWbDone[in.rd] = wb;
+                regWbDone[dec.rd] = wb;
                 rdy_t = done;
                 wb_t = wb;
                 end_time = std::max(end_time, wb + 1);
@@ -397,7 +384,7 @@ CoreTimingModel::run(uint64_t max_insts)
         }
 
         // Architectural execution and fetch redirect.
-        exec.step();
+        exec.execute(dec);
         bool taken = dec.control && exec.pc() != pc_before + 4;
         fetchReady = issue + 1;
         if (taken) {
@@ -410,10 +397,10 @@ CoreTimingModel::run(uint64_t max_insts)
             trace::InstRecord rec;
             rec.seq = runStats.insts;
             rec.pc = pc_before;
-            rec.op = static_cast<uint16_t>(in.op);
-            rec.rd = in.rd;
-            rec.rs1 = in.rs1;
-            rec.rs2 = in.rs2;
+            rec.op = static_cast<uint16_t>(dec.op);
+            rec.rd = dec.rd;
+            rec.rs1 = dec.rs1;
+            rec.rs2 = dec.rs2;
             rec.writesRd = dec.writesRd;
             rec.readsRs1 = dec.readsRs1;
             rec.readsRs2 = dec.readsRs2;

@@ -35,6 +35,8 @@
 #ifndef MAICC_CORE_TIMING_HH
 #define MAICC_CORE_TIMING_HH
 
+#include <algorithm>
+#include <array>
 #include <deque>
 #include <vector>
 
@@ -52,8 +54,8 @@ namespace maicc
 class CoreTimingModel : public SimComponent
 {
   public:
-    CoreTimingModel(const rv32::Program &program, rv32::MemIf &mem,
-                    CMem *cmem, rv32::RowPortIf *rows,
+    CoreTimingModel(const rv32::Program &program, NodeMemory &mem,
+                    CMem *cmem, RowPortIf *rows,
                     const CoreConfig &cfg);
 
     /** Run to ecall/ebreak; @return the cycle-level statistics. */
@@ -81,28 +83,49 @@ class CoreTimingModel : public SimComponent
     enum class Unit : uint8_t { Alu, CMem, Mem, Div, Mul };
 
     /**
-     * What the timing loop needs of one program instruction,
-     * decoded once at construction (the program is borrowed, like
-     * the executor's, and must not change while the model lives).
+     * One program instruction, decoded once at construction into a
+     * 12-byte record: the fields every execution step reads (the
+     * timing loop executes the record itself), the CMem precision,
+     * and what the timing loop needs of it. The program is
+     * borrowed, like the executor's, and must not change while the
+     * model lives.
      */
-    struct Decoded
+    struct Decoded : rv32::InstFields
     {
-        Unit unit = Unit::Alu;
-        bool readsRs1 = false;
-        bool readsRs2 = false;
-        bool writesRd = false;
-        bool control = false;   ///< branch or jump
-        bool immOffset = false; ///< memory address is rs1 + imm
+        uint8_t cmemN = 0;
+        Unit unit : 3 = Unit::Alu;
+        bool readsRs1 : 1 = false;
+        bool readsRs2 : 1 = false;
+        bool writesRd : 1 = false;
+        bool control : 1 = false;   ///< branch or jump
+        bool immOffset : 1 = false; ///< memory address is rs1 + imm
     };
+    static_assert(sizeof(Decoded) == 12);
 
     /** Book a write-back port at or after @p ready; @return slot. */
-    Cycles bookWbPort(Cycles ready);
+    Cycles
+    bookWbPort(Cycles ready)
+    {
+        // Common case: @p ready is inside the window and has a free
+        // port. Anything else (a full cycle, a booking past the
+        // window's end) takes the out-of-line search.
+        if (ready - wbBase < wbSlots.size()) {
+            WbSlot &s = wbSlots[ready & (wbSlots.size() - 1)];
+            unsigned booked = s.cycle == ready ? s.booked : 0;
+            if (booked < cfg.wbPorts) {
+                s = {ready, booked + 1};
+                return ready;
+            }
+        }
+        return bookWbPortSlow(ready);
+    }
+    Cycles bookWbPortSlow(Cycles ready);
 
     /**
      * Slide the booking window's start up to @p front, the in-order
      * issue front: no later instruction completes before it.
      */
-    void advanceWbWindow(Cycles front);
+    void advanceWbWindow(Cycles front) { wbBase = std::max(wbBase, front); }
 
     const CoreConfig cfg;
     rv32::Executor exec;
@@ -110,8 +133,8 @@ class CoreTimingModel : public SimComponent
     std::vector<Decoded> decoded; ///< per instruction, by pc / 4
 
     // Resource availability state, all in absolute cycles.
-    std::vector<Cycles> regReady;     ///< bypass-ready time
-    std::vector<Cycles> regWbDone;    ///< write-back retired (WAW)
+    std::array<Cycles, 32> regReady{};  ///< bypass-ready time
+    std::array<Cycles, 32> regWbDone{}; ///< write-back retired (WAW)
     std::vector<Cycles> sliceFree;    ///< per-CMem-slice busy-until
     /**
      * Per-slice time at which remotely loaded rows have landed
@@ -126,14 +149,20 @@ class CoreTimingModel : public SimComponent
      * result does not block earlier-completing ALU write-backs.
      *
      * A sliding window over cycles [wbBase, wbBase + size): cycle c
-     * counts its bookings in wbBooked[c % size] (size a power of
-     * two). Only cycles in [wbBase, wbEnd) may be non-zero. The
-     * window doubles whenever a booking lands past its end, so any
-     * horizon (a remote latency of 100,000 cycles, say) fits.
+     * books in slot c % size (size a power of two), which counts for
+     * c only while it is tagged with c; any other tag is a cycle
+     * that has left the window, so sliding the window clears
+     * nothing. The window doubles whenever a booking lands past its
+     * end, so any horizon (a remote latency of 100,000 cycles, say)
+     * fits.
      */
-    std::vector<unsigned> wbBooked;
+    struct WbSlot
+    {
+        Cycles cycle = 0;    ///< the cycle `booked` counts for
+        unsigned booked = 0; ///< ports booked at `cycle`
+    };
+    std::vector<WbSlot> wbSlots;
     Cycles wbBase = 0; ///< earliest cycle that can still be booked
-    Cycles wbEnd = 0;  ///< one past the latest booked cycle
     std::deque<Cycles> cmemDispatch;  ///< recent CMem dispatch times
     Cycles lastCMemDispatch = 0;
     Cycles divFree = 0;

@@ -1,7 +1,5 @@
 #include "mem/node_memory.hh"
 
-#include "common/logging.hh"
-
 namespace maicc
 {
 
@@ -34,19 +32,15 @@ FlatMemory::touchPage(Addr addr)
 }
 
 uint32_t
-FlatMemory::load(Addr addr, unsigned bytes)
+FlatMemory::loadSlow(Addr addr, unsigned bytes)
 {
-    maicc_assert(bytes == 1 || bytes == 2 || bytes == 4);
     Addr off = addr & (kPageBytes - 1);
-    uint32_t v = 0;
     if (off + bytes <= kPageBytes) {
-        if (const uint8_t *p = findPage(addr)) {
-            for (unsigned i = 0; i < bytes; ++i)
-                v |= static_cast<uint32_t>(p[off + i]) << (8 * i);
-        }
-        return v;
+        const uint8_t *p = findPage(addr);
+        return p ? detail::loadLE(p + off, bytes) : 0;
     }
     // Straddles a page boundary (or wraps at 2^32): byte by byte.
+    uint32_t v = 0;
     for (unsigned i = 0; i < bytes; ++i) {
         const uint8_t *p = findPage(addr + i);
         uint8_t byte = p ? p[(addr + i) & (kPageBytes - 1)] : 0;
@@ -56,14 +50,11 @@ FlatMemory::load(Addr addr, unsigned bytes)
 }
 
 void
-FlatMemory::store(Addr addr, uint32_t value, unsigned bytes)
+FlatMemory::storeSlow(Addr addr, uint32_t value, unsigned bytes)
 {
-    maicc_assert(bytes == 1 || bytes == 2 || bytes == 4);
     Addr off = addr & (kPageBytes - 1);
     if (off + bytes <= kPageBytes) {
-        uint8_t *p = touchPage(addr);
-        for (unsigned i = 0; i < bytes; ++i)
-            p[off + i] = static_cast<uint8_t>(value >> (8 * i));
+        detail::storeLE(touchPage(addr) + off, value, bytes);
         return;
     }
     for (unsigned i = 0; i < bytes; ++i)
@@ -84,59 +75,35 @@ FlatMemory::poke(Addr addr, uint8_t value)
     touchPage(addr)[addr & (kPageBytes - 1)] = value;
 }
 
-NodeMemory::NodeMemory(CMem &cm, rv32::MemIf *ext)
-    : cmem(cm), external(ext), dmem(amap::dmemSize, 0)
+NodeMemory::NodeMemory(CMem &cm, FlatMemory *ext)
+    : cmem(cm), external(ext)
 {
 }
 
 uint32_t
-NodeMemory::load(Addr addr, unsigned bytes)
+NodeMemory::loadSlice0(Addr addr, unsigned bytes)
 {
-    maicc_assert(bytes == 1 || bytes == 2 || bytes == 4);
-    if (amap::isLocalDmem(addr)) {
-        maicc_assert(addr + bytes <= amap::dmemSize);
-        uint32_t v = 0;
-        for (unsigned i = 0; i < bytes; ++i)
-            v |= static_cast<uint32_t>(dmem[addr + i]) << (8 * i);
-        return v;
-    }
-    if (amap::isLocalSlice0(addr)) {
-        unsigned off = addr - amap::slice0Base;
-        maicc_assert(off + bytes <= amap::slice0Size);
-        uint32_t v = 0;
-        for (unsigned i = 0; i < bytes; ++i)
-            v |= static_cast<uint32_t>(cmem.loadByte(off + i))
-                << (8 * i);
-        return v;
-    }
-    if (!external)
+    if (!amap::isLocalSlice0(addr))
         maicc_panic("non-local load 0x%08x with no external port",
                     addr);
-    return external->load(addr, bytes);
+    unsigned off = addr - amap::slice0Base;
+    maicc_assert(off + bytes <= amap::slice0Size);
+    uint32_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= static_cast<uint32_t>(cmem.loadByte(off + i)) << (8 * i);
+    return v;
 }
 
 void
-NodeMemory::store(Addr addr, uint32_t value, unsigned bytes)
+NodeMemory::storeSlice0(Addr addr, uint32_t value, unsigned bytes)
 {
-    maicc_assert(bytes == 1 || bytes == 2 || bytes == 4);
-    if (amap::isLocalDmem(addr)) {
-        maicc_assert(addr + bytes <= amap::dmemSize);
-        for (unsigned i = 0; i < bytes; ++i)
-            dmem[addr + i] = static_cast<uint8_t>(value >> (8 * i));
-        return;
-    }
-    if (amap::isLocalSlice0(addr)) {
-        unsigned off = addr - amap::slice0Base;
-        maicc_assert(off + bytes <= amap::slice0Size);
-        for (unsigned i = 0; i < bytes; ++i)
-            cmem.storeByte(off + i,
-                           static_cast<uint8_t>(value >> (8 * i)));
-        return;
-    }
-    if (!external)
+    if (!amap::isLocalSlice0(addr))
         maicc_panic("non-local store 0x%08x with no external port",
                     addr);
-    external->store(addr, value, bytes);
+    unsigned off = addr - amap::slice0Base;
+    maicc_assert(off + bytes <= amap::slice0Size);
+    for (unsigned i = 0; i < bytes; ++i)
+        cmem.storeByte(off + i, static_cast<uint8_t>(value >> (8 * i)));
 }
 
 uint8_t

@@ -12,7 +12,11 @@ namespace maicc
 namespace
 {
 
-/** Input port a flit lands on after leaving through @p out_dir. */
+/**
+ * Input port a flit lands on after leaving through @p out_dir; an
+ * involution, so also the upstream router's output that feeds
+ * input @p out_dir.
+ */
 constexpr int kArrivalDir[MeshNoc::numDirs] = {
     -1, MeshNoc::dirWest, MeshNoc::dirEast, MeshNoc::dirNorth,
     MeshNoc::dirSouth};
@@ -55,8 +59,20 @@ static_assert(MeshNoc::dirSouth == trace::kDirSouth);
 static_assert(MeshNoc::dirNorth == trace::kDirNorth);
 static_assert(MeshNoc::numDirs == trace::kDirInject);
 
+NocConfig
+MeshNoc::validated(const NocConfig &cfg)
+{
+    // Checked before any per-node table is sized from it.
+    if (cfg.width < 1 || cfg.height < 1
+        || int64_t(cfg.width) * cfg.height > kMaxNodes)
+        maicc_fatal("a %d x %d mesh is outside 1 .. %d nodes",
+                    cfg.width, cfg.height, kMaxNodes);
+    maicc_assert(cfg.queueDepth >= 1);
+    return cfg;
+}
+
 MeshNoc::MeshNoc(const NocConfig &config)
-    : SimComponent("noc"), cfg(config),
+    : SimComponent("noc"), cfg(validated(config)),
       routers(cfg.width * cfg.height),
       slots(size_t(cfg.width) * cfg.height * numDirs
             * cfg.queueDepth),
@@ -65,23 +81,15 @@ MeshNoc::MeshNoc(const NocConfig &config)
       deliverQueues(cfg.width * cfg.height),
       injProgress(cfg.width * cfg.height, 0),
       frontPacketIdx(cfg.width * cfg.height, 0),
-      routerFlits(cfg.width * cfg.height, 0),
       activeRouters((cfg.width * cfg.height + 63) / 64, 0),
       activeInjectors((cfg.width * cfg.height + 63) / 64, 0)
 {
-    maicc_assert(cfg.width >= 1 && cfg.height >= 1);
-    maicc_assert(cfg.queueDepth >= 1);
-    for (auto &r : routers) {
-        for (int d = 0; d < numDirs; ++d) {
-            r.outLockedTo[d] = -1;
-            r.rrNext[d] = 0;
-        }
-    }
     coords.reserve(routers.size());
     for (int y = 0; y < cfg.height; ++y) {
         for (int x = 0; x < cfg.width; ++x) {
             coords.push_back({x, y});
             NodeId *out = &neighbour[size_t(nodeId(x, y)) * numDirs];
+            out[dirLocal] = nodeId(x, y);
             if (x + 1 < cfg.width)
                 out[dirEast] = nodeId(x + 1, y);
             if (x > 0)
@@ -98,13 +106,7 @@ void
 MeshNoc::reset()
 {
     cycle = 0;
-    for (auto &r : routers) {
-        for (int d = 0; d < numDirs; ++d) {
-            r.in[d] = InputQueue{};
-            r.outLockedTo[d] = -1;
-            r.rrNext[d] = 0;
-        }
-    }
+    std::fill(routers.begin(), routers.end(), Router{});
     for (auto &q : injectQueues)
         q.clear();
     for (auto &q : deliverQueues)
@@ -117,7 +119,6 @@ MeshNoc::reset()
     flitHopCount = 0;
     deliveredCount = 0;
     latencySum = 0.0;
-    std::fill(routerFlits.begin(), routerFlits.end(), 0u);
     queuedFlits = 0;
     pendingInjectPackets = 0;
     std::fill(activeRouters.begin(), activeRouters.end(), 0);
@@ -150,21 +151,6 @@ MeshNoc::hops(NodeId a, NodeId b) const
     return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
 }
 
-int
-MeshNoc::route(NodeId at, NodeId dst) const
-{
-    const NodeCoord &ca = coords[at], &cd = coords[dst];
-    if (ca.x < cd.x)
-        return dirEast;
-    if (ca.x > cd.x)
-        return dirWest;
-    if (ca.y < cd.y)
-        return dirSouth;
-    if (ca.y > cd.y)
-        return dirNorth;
-    return dirLocal;
-}
-
 void
 MeshNoc::inject(Packet pkt)
 {
@@ -184,32 +170,64 @@ MeshNoc::inject(Packet pkt)
     injectQueues[pkt.src].push_back(pkt);
 }
 
-void
+namespace
+{
+
+/** fullOut bit, at the router feeding input @p in_dir, of the
+ * output that feeds it; 7 (read by none) for the local input. */
+constexpr int
+creditBit(int in_dir)
+{
+    return in_dir == MeshNoc::dirLocal ? 7 : kArrivalDir[in_dir];
+}
+static_assert(creditBit(MeshNoc::dirLocal) >= MeshNoc::numDirs);
+
+} // namespace
+
+// Push and pop run once per flit-hop. They keep the router caches
+// without data-dependent branches: every field is written, with a
+// select deciding between the new and the old value, and the
+// local input's credit goes to a bit (of the router itself) that
+// no output reads. They and arbitrate() are `inline` so that
+// tick() compiles into one loop body.
+
+inline void
 MeshNoc::pushRouterFlit(NodeId n, int in_dir, Flit f)
 {
-    InputQueue &q = routers[n].in[in_dir];
+    Router &r = routers[n];
+    InputQueue &q = r.in[in_dir];
     maicc_assert(q.size < cfg.queueDepth);
     uint32_t k = q.front + q.size;
     if (k >= cfg.queueDepth)
         k -= cfg.queueDepth;
     f.outDir = static_cast<int8_t>(route(n, f.dst));
     slots[slotIndex(n, in_dir, k)] = f;
-    ++q.size;
-    ++queuedFlits;
-    if (routerFlits[n]++ == 0)
-        setBit(activeRouters, n);
+    const bool first = q.size++ == 0;
+    r.frontReady[in_dir] = first ? f.readyAt : r.frontReady[in_dir];
+    r.frontReq[in_dir] = first ? frontRequest(f) : r.frontReq[in_dir];
+    r.nonEmpty |= 1u << in_dir;
+    routers[neighbour[size_t(n) * numDirs + in_dir]].fullOut |=
+        unsigned(q.size == cfg.queueDepth) << creditBit(in_dir);
+    setBit(activeRouters, n);
 }
 
-void
+inline void
 MeshNoc::popRouterFlit(NodeId n, int in_dir)
 {
-    InputQueue &q = routers[n].in[in_dir];
-    if (++q.front == cfg.queueDepth)
-        q.front = 0;
+    Router &r = routers[n];
+    InputQueue &q = r.in[in_dir];
+    routers[neighbour[size_t(n) * numDirs + in_dir]].fullOut &=
+        ~(unsigned(q.size == cfg.queueDepth) << creditBit(in_dir));
+    q.front = q.front + 1 == cfg.queueDepth ? 0 : q.front + 1;
     --q.size;
-    --queuedFlits;
-    if (--routerFlits[n] == 0)
-        clearBit(activeRouters, n);
+    // The next front; a stale slot when the queue is now empty,
+    // whose request is then never ready.
+    const Flit &f = front(n, in_dir);
+    const bool empty = q.size == 0;
+    r.frontReady[in_dir] = empty ? kNeverReady : f.readyAt;
+    r.frontReq[in_dir] = frontRequest(f);
+    r.nonEmpty &= ~(unsigned(empty) << in_dir);
+    activeRouters[n / 64] &= ~(uint64_t(r.nonEmpty == 0) << (n % 64));
 }
 
 Cycles
@@ -217,12 +235,9 @@ MeshNoc::nextFrontReadyAtOrAfter(Cycles from) const
 {
     Cycles best = kNeverReady;
     forEachSetBit(activeRouters, [&](NodeId n) {
-        for (int d = 0; d < numDirs; ++d) {
-            if (routers[n].in[d].size == 0)
-                continue;
-            Cycles r = front(n, d).readyAt;
-            if (r >= from && r < best)
-                best = r;
+        for (Cycles t : routers[n].frontReady) {
+            if (t >= from && t < best)
+                best = t;
         }
     });
     return best;
@@ -232,32 +247,6 @@ std::deque<Packet> &
 MeshNoc::delivered(NodeId id)
 {
     return deliverQueues[id];
-}
-
-ShardedInjector::ShardedInjector(size_t num_shards)
-    : staged(num_shards)
-{
-    maicc_assert(num_shards > 0);
-}
-
-void
-ShardedInjector::stage(size_t shard, Packet pkt)
-{
-    maicc_assert(shard < staged.size());
-    staged[shard].push_back(pkt);
-}
-
-size_t
-ShardedInjector::commit(MeshNoc &noc)
-{
-    size_t n = 0;
-    for (auto &q : staged) {
-        for (const Packet &pkt : q)
-            noc.inject(pkt);
-        n += q.size();
-        q.clear();
-    }
-    return n;
 }
 
 bool
@@ -274,69 +263,63 @@ MeshNoc::avgPacketLatency() const
     return deliveredCount ? latencySum / deliveredCount : 0.0;
 }
 
-void
+inline void
 MeshNoc::arbitrate(NodeId n)
 {
     // Phase 1: each output port picks at most one eligible input,
-    // based on start-of-cycle queue state. One pass over the five
-    // inputs collects the eligible fronts: `ready` holds every
-    // input whose front has cleared the router pipeline, and
-    // `request[o]` the ready inputs whose front is a head flit
-    // routed (at push) to output o.
+    // based on start-of-cycle queue state, from the router's own
+    // caches and without data-dependent branches until the grants.
+    // `ready` holds every input whose front has cleared the router
+    // pipeline (an empty input never has); bit numDirs * o + i of
+    // `request` is set when ready input i's front is a head flit
+    // routed (at push) to output o. Body flits request "output
+    // numDirs", bits no output reads.
     Router &r = routers[n];
+    constexpr unsigned kAll = (1u << numDirs) - 1;
     unsigned ready = 0;
-    unsigned request[numDirs] = {};
+    uint32_t request = 0;
     for (int i = 0; i < numDirs; ++i) {
-        if (r.in[i].size == 0)
-            continue;
-        const Flit &f = front(n, i);
-        if (f.readyAt > cycle)
-            continue;
-        ready |= 1u << i;
-        if (f.head)
-            request[f.outDir] |= 1u << i;
+        unsigned bit = r.frontReady[i] <= cycle;
+        ready |= bit << i;
+        request |= bit << (numDirs * r.frontReq[i] + i);
     }
     if (ready == 0)
         return;
+    // An output has a candidate when it is locked to a packet (it
+    // keeps that packet's input until the tail passes) and that
+    // input is ready, or when it is unlocked and a head requests
+    // it. An output with no credit downstream grants nothing
+    // (ejection is always free).
+    unsigned owner_ready = 0;
+    unsigned requested = 0;
     for (int o = 0; o < numDirs; ++o) {
-        int candidate;
-        bool fresh_grant = false;
-        if (r.outLockedTo[o] >= 0) {
-            // A locked output keeps its packet's input until the
-            // tail passes.
-            candidate = r.outLockedTo[o];
-            if (!(ready >> candidate & 1))
-                continue;
-        } else {
-            if (request[o] == 0)
-                continue;
-            // Round robin: the first requester at or after
-            // rrNext[o], wrapping — the inputs rotated so rrNext[o]
-            // is bit 0, then the lowest set bit.
-            unsigned rr = r.rrNext[o];
-            unsigned rotated = (request[o] >> rr
-                                | request[o] << (numDirs - rr))
-                & ((1u << numDirs) - 1);
-            candidate = int(rr + std::countr_zero(rotated));
-            if (candidate >= numDirs)
-                candidate -= numDirs;
-            fresh_grant = true;
-        }
-        // Credit check: space downstream (ejection is free).
-        if (o != dirLocal) {
-            NodeId next = neighbour[size_t(n) * numDirs + o];
-            if (routers[next].in[kArrivalDir[o]].size
-                >= cfg.queueDepth)
-                continue;
-        }
-        // The round-robin pointer advances only when the grant
-        // commits: a winner dropped by the credit check keeps its
-        // priority next cycle instead of losing the slot to whoever
-        // the pointer lands on (starvation under sustained
-        // backpressure).
-        if (fresh_grant)
-            r.rrNext[o] = (candidate + 1) % numDirs;
-        moves.push_back({n, candidate, o});
+        owner_ready |= (ready >> r.lockedTo[o] & 1) << o;
+        requested |= unsigned((request >> (numDirs * o) & kAll) != 0)
+            << o;
+    }
+    unsigned outputs = (owner_ready & r.locked)
+        | (requested & ~unsigned(r.locked));
+    outputs &= ~unsigned(r.fullOut);
+    // Ascending output order, as a sweep over every output would
+    // append the moves.
+    for (; outputs; outputs &= outputs - 1) {
+        int o = std::countr_zero(outputs);
+        // Round robin: the first requester at or after rrNext[o],
+        // wrapping — the inputs rotated so rrNext[o] is bit 0, then
+        // the lowest set bit. The pointer moves only on a fresh
+        // grant, and every grant here commits: the credit check
+        // already passed, so a winner never loses its turn. The
+        // locked/unlocked choice is a mask select, not a branch.
+        unsigned req = request >> (numDirs * o) & kAll;
+        unsigned rr = r.rrNext[o];
+        unsigned rotated = (req >> rr | req << (numDirs - rr)) & kAll;
+        unsigned pick = rr + std::countr_zero(rotated);
+        pick = pick >= numDirs ? pick - numDirs : pick;
+        unsigned next_rr = pick + 1 == numDirs ? 0 : pick + 1;
+        unsigned keep = 0u - (r.locked >> o & 1u); // all ones if locked
+        unsigned candidate = (r.lockedTo[o] & keep) | (pick & ~keep);
+        r.rrNext[o] = uint8_t((rr & keep) | (next_rr & ~keep));
+        moves.push_back({n, int8_t(candidate), int8_t(o)});
     }
 }
 
@@ -364,7 +347,7 @@ MeshNoc::injectOne(NodeId n)
     Flit flit;
     flit.head = (progress == 0);
     flit.tail = (progress == pkt.sizeFlits - 1);
-    flit.dst = pkt.dst;
+    flit.dst = static_cast<uint16_t>(pkt.dst);
     flit.packetIdx = frontPacketIdx[n];
     flit.readyAt = cycle + 1 + cfg.routerLatency;
     if (trace::kEnabled && sink) {
@@ -373,6 +356,7 @@ MeshNoc::injectOne(NodeId n)
                                flit.head, flit.tail, cycle});
     }
     pushRouterFlit(n, dirLocal, flit);
+    ++queuedFlits;
     lastTickProgress = true;
     ++progress;
     if (progress == pkt.sizeFlits) {
@@ -398,10 +382,12 @@ MeshNoc::tick()
         Router &r = routers[m.router];
         Flit flit = front(m.router, m.inDir);
         popRouterFlit(m.router, m.inDir);
-        if (flit.head)
-            r.outLockedTo[m.outDir] = m.inDir;
-        if (flit.tail)
-            r.outLockedTo[m.outDir] = -1;
+        // A head locks the output to its input until its tail
+        // passes (a single-flit packet does both).
+        r.lockedTo[m.outDir] =
+            flit.head ? uint8_t(m.inDir) : r.lockedTo[m.outDir];
+        r.locked = uint8_t((r.locked | unsigned(flit.head) << m.outDir)
+                           & ~(unsigned(flit.tail) << m.outDir));
         if (trace::kEnabled && sink) {
             sink->flits.push_back(
                 {inFlight[flit.packetIdx].id, m.router,
@@ -410,6 +396,7 @@ MeshNoc::tick()
                  flit.tail, cycle});
         }
         if (m.outDir == dirLocal) {
+            --queuedFlits;
             if (flit.tail) {
                 Packet &pkt = inFlight[flit.packetIdx];
                 latencySum +=

@@ -8,6 +8,13 @@
  *
  * The model counts flit-hops so the energy model can charge the
  * paper's 5.4 pJ per flit per hop.
+ *
+ * Per move, not per idle router, is where the host time goes: in
+ * the node-kernels traffic nearly every router holding flits has a
+ * ready front each cycle. So each router caches what arbitration
+ * needs of its own inputs (front readiness and requested output,
+ * a non-empty mask, a full-downstream mask) and arbitration reads
+ * nothing else.
  */
 
 #ifndef MAICC_NOC_NOC_HH
@@ -49,12 +56,8 @@ struct Packet
  * queues once their tail flit ejects.
  *
  * Concurrency model (DESIGN.md): the mesh is *mesh-shared* state
- * with a single owner — all routers advance together in tick(), so
- * the router pass runs on one thread, between the barriers that
- * end the parallel node-stepping shards. Shard workers must not
- * call inject()/tick()/delivered() directly; they stage traffic in
- * a ShardedInjector, which the owner commits in shard order at the
- * barrier.
+ * with a single owner — all routers advance together in tick(), on
+ * one thread; inject()/tick()/delivered() are owner-thread only.
  */
 class MeshNoc : public SimComponent
 {
@@ -70,6 +73,10 @@ class MeshNoc : public SimComponent
     static constexpr int dirNorth = 4;
     static constexpr int numDirs = 5;
 
+    /** Flit::dst is 16 bits: the largest mesh a flit can address. */
+    static constexpr int kMaxNodes = 1 << 16;
+
+    /** Fatal unless @p cfg is a 1x1 .. kMaxNodes mesh with queues. */
     explicit MeshNoc(const NocConfig &cfg = NocConfig{});
 
     const NocConfig &config() const { return cfg; }
@@ -88,6 +95,20 @@ class MeshNoc : public SimComponent
 
     /** Manhattan distance between two nodes. */
     unsigned hops(NodeId a, NodeId b) const;
+
+    /**
+     * X-Y route: the output direction at router @p at towards
+     * @p dst (X first, then Y, dirLocal on arrival). Computed
+     * without branches, from the signs of dx and dy.
+     */
+    int
+    route(NodeId at, NodeId dst) const
+    {
+        const NodeCoord &ca = coords[at], &cd = coords[dst];
+        int sx = (cd.x > ca.x) - (cd.x < ca.x);
+        int sy = (cd.y > ca.y) - (cd.y < ca.y);
+        return kRoute[sx + 1][sy + 1];
+    }
 
     /**
      * Zero-load latency from injection to full delivery: every
@@ -145,15 +166,25 @@ class MeshNoc : public SimComponent
     void recordStats() override;
 
   private:
+    /** kRoute[sign(dx) + 1][sign(dy) + 1]: X first, then Y. */
+    static constexpr int8_t kRoute[3][3] = {
+        {dirWest, dirWest, dirWest},
+        {dirNorth, dirLocal, dirSouth},
+        {dirEast, dirEast, dirEast},
+    };
+
+    static constexpr Cycles kNeverReady = ~Cycles(0);
+
     struct Flit
     {
         Cycles readyAt = 0;     ///< router-pipeline eligibility
-        NodeId dst = 0;
         uint32_t packetIdx = 0; ///< index into inFlight
+        uint16_t dst = 0;       ///< NodeId; kMaxNodes bounds it
         int8_t outDir = 0;      ///< route() at the holding router
-        bool head = false;
-        bool tail = false;
+        bool head : 1 = false;
+        bool tail : 1 = false;
     };
+    static_assert(sizeof(Flit) == 16);
 
     /**
      * One input queue: a ring of cfg.queueDepth slots in `slots`.
@@ -166,23 +197,49 @@ class MeshNoc : public SimComponent
         uint32_t size = 0;
     };
 
+    /**
+     * One router. The front-flit cache and the masks hold all that
+     * arbitration reads; the push/pop helpers keep them equal to
+     * the queues (and fullOut to the downstream queues).
+     */
     struct Router
     {
+        uint8_t nonEmpty = 0; ///< bit i: input i holds a flit
+        uint8_t locked = 0;   ///< bit o: output o owned by a packet
+        /** Bit o: the input output o feeds is full (no credit).
+         * Bit 7 stands for the local input, fed by no router; no
+         * output reads it. */
+        uint8_t fullOut = 0;
+        /** Front flit's routed output if it is a head flit, else
+         * numDirs (a request no output reads). */
+        uint8_t frontReq[numDirs] = {};
+        uint8_t lockedTo[numDirs] = {}; ///< owner input, if locked
+        uint8_t rrNext[numDirs] = {};   ///< round-robin pointer
+        /** Front flit's readyAt; kNeverReady for an empty input,
+         * so an empty input is never ready. */
+        Cycles frontReady[numDirs] = {kNeverReady, kNeverReady,
+                                      kNeverReady, kNeverReady,
+                                      kNeverReady};
         InputQueue in[numDirs];
-        int outLockedTo[numDirs]; ///< input dir owning output, -1
-        unsigned rrNext[numDirs]; ///< round-robin pointer
     };
 
     /** A granted output of one tick: phase 1 builds, phase 2 commits. */
     struct Move
     {
         NodeId router;
-        int inDir;
-        int outDir;
+        int8_t inDir;
+        int8_t outDir;
     };
 
-    /** X-Y route: output direction at router @p at for @p dst. */
-    int route(NodeId at, NodeId dst) const;
+    static NocConfig validated(const NocConfig &cfg);
+
+    /** What a front flit requests: its routed output if it is a
+     * head flit, else numDirs. */
+    static uint8_t
+    frontRequest(const Flit &f)
+    {
+        return f.head ? uint8_t(f.outDir) : uint8_t(numDirs);
+    }
 
     /** Index in `slots` of ring slot @p k of input @p in_dir at
      * router @p n. */
@@ -198,8 +255,8 @@ class MeshNoc : public SimComponent
         return slots[slotIndex(n, in_dir, routers[n].in[in_dir].front)];
     }
 
-    /** Queue-maintenance helpers keeping the active bitsets and the
-     * O(1) idle() counters consistent with every push/pop. The push
+    /** Queue-maintenance helpers keeping the router caches and the
+     * active-router bitset consistent with every push/pop. The push
      * routes the flit for router @p n. */
     void pushRouterFlit(NodeId n, int in_dir, Flit f);
     void popRouterFlit(NodeId n, int in_dir);
@@ -215,7 +272,6 @@ class MeshNoc : public SimComponent
      * front can ever become newly eligible (the deadlock test in
      * the event drain).
      */
-    static constexpr Cycles kNeverReady = ~Cycles(0);
     Cycles nextFrontReadyAtOrAfter(Cycles from) const;
 
     NocConfig cfg;
@@ -223,7 +279,8 @@ class MeshNoc : public SimComponent
     std::vector<Router> routers;
     std::vector<Flit> slots; ///< every input ring, router-major
     /** Router fed by output `dir` of router `n` at n * numDirs +
-     * dir; -1 off the mesh edge and for the local port. */
+     * dir; -1 off the mesh edge, n itself for the local port. It
+     * is also the router feeding input `dir` of n. */
     std::vector<NodeId> neighbour;
     std::vector<NodeCoord> coords; ///< coord(n), without a division
     std::vector<std::deque<Packet>> injectQueues;
@@ -239,50 +296,19 @@ class MeshNoc : public SimComponent
     double latencySum = 0.0;
 
     // Active-set / O(1)-idle bookkeeping (kept consistent by
-    // pushRouterFlit/popRouterFlit and the injection path).
+    // pushRouterFlit/popRouterFlit, injection and ejection; a hop
+    // leaves queuedFlits unchanged).
     // activeRouters/activeInjectors are bitsets, one bit per node,
     // walked low word first and lowest bit first: ascending node
     // id, the same relative order as a sweep over every node —
     // that is what keeps the move list (and thus every commit,
     // stat update, and floating-point accumulation) identical to a
     // full sweep's.
-    std::vector<uint32_t> routerFlits; ///< flits queued per router
     uint64_t queuedFlits = 0;          ///< total router-queued flits
     uint64_t pendingInjectPackets = 0; ///< packets not fully injected
     std::vector<uint64_t> activeRouters;   ///< routers with >=1 flit
     std::vector<uint64_t> activeInjectors; ///< nodes with backlog
     bool lastTickProgress = false; ///< last tick moved/injected
-};
-
-/**
- * Deterministic injection staging for parallel node stepping.
- * Packet ids and inject-queue order are assigned by the mesh at
- * inject() time, so concurrent inject() calls would make them
- * depend on thread scheduling. Instead each shard stages its
- * packets into a shard-private queue (no synchronization, no
- * false sharing on the id counter) and the mesh owner commits all
- * staged traffic in shard-index order at the barrier — the same
- * ids and ordering as a serial run that visits shards in order.
- */
-class ShardedInjector
-{
-  public:
-    explicit ShardedInjector(size_t num_shards);
-
-    size_t shards() const { return staged.size(); }
-
-    /** Stage @p pkt from @p shard. Safe concurrently per shard. */
-    void stage(size_t shard, Packet pkt);
-
-    /**
-     * Inject every staged packet into @p noc, shard 0 first, each
-     * shard's packets in staging order; clears the stage.
-     * @return packets committed. Owner-thread only.
-     */
-    size_t commit(MeshNoc &noc);
-
-  private:
-    std::vector<std::vector<Packet>> staged;
 };
 
 } // namespace maicc

@@ -1,6 +1,5 @@
 #include "rv32/executor.hh"
 
-#include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "rv32/encoding.hh"
 
@@ -9,20 +8,8 @@ namespace maicc
 namespace rv32
 {
 
-Row256
-NullRowPort::loadRow(Addr)
-{
-    maicc_panic("LoadRow.RC executed on a node with no row port");
-}
-
-void
-NullRowPort::storeRow(Addr, const Row256 &)
-{
-    maicc_panic("StoreRow.RC executed on a node with no row port");
-}
-
-Executor::Executor(const Program &program, MemIf &memory, CMem *cm,
-                   RowPortIf *row_port)
+Executor::Executor(const Program &program, NodeMemory &memory,
+                   CMem *cm, RowPortIf *row_port)
     : prog(program), mem(memory), cmem(cm), rows(row_port)
 {
 }
@@ -35,12 +22,11 @@ Executor::setReg(unsigned idx, uint32_t value)
         regs[idx] = value;
 }
 
-const Inst &
-Executor::current() const
+void
+Executor::badPc() const
 {
-    size_t idx = _pc / 4;
-    maicc_assert(idx < prog.insts.size());
-    return prog.insts[idx];
+    maicc_panic("pc 0x%08x is past the program end (%zu instructions)",
+                _pc, prog.insts.size());
 }
 
 void
@@ -52,16 +38,6 @@ Executor::run(uint64_t max_insts)
     if (!_halted)
         maicc_fatal("program exceeded %llu instructions",
                     (unsigned long long)max_insts);
-}
-
-void
-Executor::step()
-{
-    if (_halted)
-        return;
-    const Inst &in = current();
-    exec(in);
-    ++retired;
 }
 
 uint32_t
@@ -90,103 +66,11 @@ Executor::amo(const Inst &in, uint32_t addr, uint32_t rs2_val)
 }
 
 void
-Executor::exec(const Inst &in)
+Executor::executeCold(const Inst &in, uint32_t a, uint32_t b)
 {
-    uint32_t a = regs[in.rs1];
-    uint32_t b = regs[in.rs2];
-    Addr next = _pc + 4;
-
-    auto wr = [&](uint32_t v) { setReg(in.rd, v); };
+    auto wr = [&](uint32_t v) { writeRd(in, v); };
 
     switch (in.op) {
-      case Op::LUI: wr(in.imm); break;
-      case Op::AUIPC: wr(_pc + in.imm); break;
-      case Op::JAL:
-        wr(_pc + 4);
-        next = _pc + in.imm;
-        break;
-      case Op::JALR:
-        wr(_pc + 4);
-        next = (a + in.imm) & ~1u;
-        break;
-      case Op::BEQ: if (a == b) next = _pc + in.imm; break;
-      case Op::BNE: if (a != b) next = _pc + in.imm; break;
-      case Op::BLT:
-        if ((int32_t)a < (int32_t)b)
-            next = _pc + in.imm;
-        break;
-      case Op::BGE:
-        if ((int32_t)a >= (int32_t)b)
-            next = _pc + in.imm;
-        break;
-      case Op::BLTU: if (a < b) next = _pc + in.imm; break;
-      case Op::BGEU: if (a >= b) next = _pc + in.imm; break;
-      case Op::LB:
-        wr(sext32(mem.load(a + in.imm, 1), 8));
-        break;
-      case Op::LH:
-        wr(sext32(mem.load(a + in.imm, 2), 16));
-        break;
-      case Op::LW: wr(mem.load(a + in.imm, 4)); break;
-      case Op::LBU: wr(mem.load(a + in.imm, 1)); break;
-      case Op::LHU: wr(mem.load(a + in.imm, 2)); break;
-      case Op::SB: mem.store(a + in.imm, b, 1); break;
-      case Op::SH: mem.store(a + in.imm, b, 2); break;
-      case Op::SW: mem.store(a + in.imm, b, 4); break;
-      case Op::ADDI: wr(a + in.imm); break;
-      case Op::SLTI: wr((int32_t)a < in.imm ? 1 : 0); break;
-      case Op::SLTIU: wr(a < (uint32_t)in.imm ? 1 : 0); break;
-      case Op::XORI: wr(a ^ in.imm); break;
-      case Op::ORI: wr(a | in.imm); break;
-      case Op::ANDI: wr(a & in.imm); break;
-      case Op::SLLI: wr(a << (in.imm & 31)); break;
-      case Op::SRLI: wr(a >> (in.imm & 31)); break;
-      case Op::SRAI: wr((int32_t)a >> (in.imm & 31)); break;
-      case Op::ADD: wr(a + b); break;
-      case Op::SUB: wr(a - b); break;
-      case Op::SLL: wr(a << (b & 31)); break;
-      case Op::SLT: wr((int32_t)a < (int32_t)b ? 1 : 0); break;
-      case Op::SLTU: wr(a < b ? 1 : 0); break;
-      case Op::XOR: wr(a ^ b); break;
-      case Op::SRL: wr(a >> (b & 31)); break;
-      case Op::SRA: wr((int32_t)a >> (b & 31)); break;
-      case Op::OR: wr(a | b); break;
-      case Op::AND: wr(a & b); break;
-      case Op::FENCE: break;
-      case Op::ECALL:
-      case Op::EBREAK:
-        _halted = true;
-        break;
-      case Op::MUL: wr(a * b); break;
-      case Op::MULH:
-        wr((uint32_t)(((int64_t)(int32_t)a * (int32_t)b) >> 32));
-        break;
-      case Op::MULHSU:
-        wr((uint32_t)(((int64_t)(int32_t)a * (uint64_t)b) >> 32));
-        break;
-      case Op::MULHU:
-        wr((uint32_t)(((uint64_t)a * b) >> 32));
-        break;
-      case Op::DIV:
-        if (b == 0) {
-            wr(~0u);
-        } else if (a == 0x80000000u && b == ~0u) {
-            wr(a);
-        } else {
-            wr((int32_t)a / (int32_t)b);
-        }
-        break;
-      case Op::DIVU: wr(b == 0 ? ~0u : a / b); break;
-      case Op::REM:
-        if (b == 0) {
-            wr(a);
-        } else if (a == 0x80000000u && b == ~0u) {
-            wr(0);
-        } else {
-            wr((int32_t)a % (int32_t)b);
-        }
-        break;
-      case Op::REMU: wr(b == 0 ? a : a % b); break;
       case Op::LR_W:
         wr(mem.load(a, 4));
         reservation = true;
@@ -248,9 +132,9 @@ Executor::exec(const Inst &in)
       case Op::ILLEGAL:
         maicc_panic("illegal instruction at pc=0x%x (raw 0x%08x)",
                     _pc, in.raw);
+      default:
+        maicc_panic("%s is executed inline", opName(in.op));
     }
-
-    _pc = next;
 }
 
 } // namespace rv32

@@ -82,14 +82,23 @@ bool isStoreOp(Op op);
 /** @return true for AMOs. */
 bool isAmoOp(Op op);
 
-/** A fully decoded instruction. */
-struct Inst
+/**
+ * The fields of a decoded instruction that every execution step
+ * reads; the rest of Inst serves CMem operations, illegal-
+ * instruction reports and disassembly.
+ */
+struct InstFields
 {
     Op op = Op::ILLEGAL;
     uint8_t rd = 0;
     uint8_t rs1 = 0;
     uint8_t rs2 = 0;
     int32_t imm = 0;
+};
+
+/** A fully decoded instruction. */
+struct Inst : InstFields
+{
     /** CMem precision n for MAC.C / Move.C (from funct7[4:0]). */
     uint8_t cmemN = 0;
     /** SetRow.C value bit (funct7[0]). */

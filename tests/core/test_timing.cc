@@ -327,3 +327,13 @@ TEST(CoreTiming, StatsAreConsistent)
     EXPECT_EQ(st.remoteOps, 0u);
     EXPECT_GT(st.cycles, 0u);
 }
+
+TEST(CoreTimingDeath, PcPastTheProgramEndPanics)
+{
+    // The timing loop fetches from its own decoded copy of the
+    // program; running off its end must still panic.
+    Assembler a;
+    a.addi(t0, t0, 1);
+    TimingHarness h(a.finish());
+    EXPECT_DEATH(h.run(), "pc 0x00000004 is past the program end");
+}

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "noc/noc.hh"
 
@@ -266,58 +267,61 @@ TEST(MeshNoc, RoundRobinIsFairUnderBackpressure)
               (from_a + from_b) / 4);
 }
 
-TEST(ShardedInjector, CommitMatchesSerialInjectionExactly)
+TEST(MeshNoc, RouteMatchesPlainXYRule)
 {
-    // Staged-and-committed traffic must be indistinguishable from
-    // a serial run that visited shards in order: same packet ids,
-    // same delivery order, same flit-hop count.
-    NocConfig cfg;
-    auto make = [&](MeshNoc &noc, uint64_t tag, int sx, int dx) {
-        Packet p;
-        p.src = noc.nodeId(sx, 2);
-        p.dst = noc.nodeId(dx, 9);
-        p.sizeFlits = 1 + unsigned(tag % 9);
-        p.tag = tag;
-        return p;
+    // The branch-free route against dimension-order routing as the
+    // rule reads: first close the x gap, then the y gap.
+    auto xy = [](NodeCoord at, NodeCoord dst) {
+        if (dst.x > at.x)
+            return MeshNoc::dirEast;
+        if (dst.x < at.x)
+            return MeshNoc::dirWest;
+        if (dst.y > at.y)
+            return MeshNoc::dirSouth;
+        if (dst.y < at.y)
+            return MeshNoc::dirNorth;
+        return MeshNoc::dirLocal;
     };
-
-    MeshNoc serial(cfg);
-    for (uint64_t t = 0; t < 24; ++t)
-        serial.inject(make(serial, t, int(t % 16),
-                           int((t * 5) % 16)));
-    serial.drain();
-
-    MeshNoc staged_noc(cfg);
-    ShardedInjector inj(4);
-    // Stage in interleaved order but with shard = t / 6, so the
-    // commit order (shard 0 first) equals the serial order.
-    for (uint64_t t = 0; t < 24; ++t)
-        inj.stage(t / 6, make(staged_noc, t, int(t % 16),
-                              int((t * 5) % 16)));
-    EXPECT_EQ(inj.commit(staged_noc), 24u);
-    staged_noc.drain();
-
-    EXPECT_EQ(staged_noc.flitHops(), serial.flitHops());
-    EXPECT_EQ(staged_noc.now(), serial.now());
-    for (int n = 0; n < cfg.width * cfg.height; ++n) {
-        auto &a = serial.delivered(n);
-        auto &b = staged_noc.delivered(n);
-        ASSERT_EQ(a.size(), b.size()) << "node " << n;
-        for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].id, b[i].id);
-            EXPECT_EQ(a[i].tag, b[i].tag);
+    for (auto [w, h] : {std::pair{1, 1}, {5, 3}, {12, 12}, {16, 16}}) {
+        NocConfig cfg;
+        cfg.width = w;
+        cfg.height = h;
+        MeshNoc noc(cfg);
+        for (NodeId at = 0; at < w * h; ++at) {
+            for (NodeId dst = 0; dst < w * h; ++dst) {
+                ASSERT_EQ(noc.route(at, dst),
+                          xy(noc.coord(at), noc.coord(dst)))
+                    << w << "x" << h << " at " << at << " dst "
+                    << dst;
+            }
         }
     }
 }
 
-TEST(ShardedInjector, CommitClearsStage)
+TEST(MeshNoc, LargestAddressableMeshDeliversToItsLastNode)
 {
-    MeshNoc noc;
-    ShardedInjector inj(2);
+    // A flit's destination is 16 bits wide: node 65535 of a 256x256
+    // mesh must still be reached, not a truncated id.
+    NocConfig cfg;
+    cfg.width = 256;
+    cfg.height = 256;
+    MeshNoc noc(cfg);
     Packet p;
     p.src = 0;
-    p.dst = 5;
-    inj.stage(1, p);
-    EXPECT_EQ(inj.commit(noc), 1u);
-    EXPECT_EQ(inj.commit(noc), 0u);
+    p.dst = MeshNoc::kMaxNodes - 1;
+    p.sizeFlits = 2;
+    noc.inject(p);
+    noc.drain();
+    ASSERT_EQ(noc.delivered(p.dst).size(), 1u);
+    EXPECT_EQ(noc.flitHops(), 2u * noc.hops(p.src, p.dst));
+}
+
+TEST(MeshNocDeath, MeshTooLargeToAddressRejected)
+{
+    NocConfig cfg;
+    cfg.width = 257;
+    cfg.height = 256;
+    EXPECT_DEATH(MeshNoc{cfg}, "outside 1 .. 65536 nodes");
+    cfg.width = 0;
+    EXPECT_DEATH(MeshNoc{cfg}, "outside 1 .. 65536 nodes");
 }

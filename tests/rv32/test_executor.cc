@@ -1,3 +1,6 @@
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cmem/cmem.hh"
@@ -349,4 +352,157 @@ TEST(Executor, AllAmoVariants)
     EXPECT_EQ(h.exec.reg(a5), 3u);
     EXPECT_EQ(h.exec.reg(a6), 3u);
     EXPECT_EQ(h.exec.reg(a7), 0xFFFFFFFFu);
+}
+
+namespace
+{
+
+/**
+ * Stores, then loads of every width, around one base address, with
+ * the bytes and register values they must leave. Every access's
+ * offset from the base is in [-2, 0], so an access at the top of
+ * the address space stays off the local window while its later
+ * bytes wrap.
+ */
+struct ByteMapCase
+{
+    struct Load
+    {
+        Op op;
+        int32_t imm;
+        Reg rd;
+        uint32_t want;
+    };
+
+    explicit ByteMapCase(Addr base)
+    {
+        struct Store
+        {
+            int32_t imm;
+            unsigned bytes;
+            uint32_t value;
+        };
+        const Store stores[] = {
+            {-2, 4, 0x8899AABBu}, {0, 2, 0xC3D4u}, {-1, 1, 0xE5u}};
+        Assembler a;
+        a.li(t0, static_cast<int32_t>(base));
+        for (const Store &st : stores) {
+            a.li(t1, static_cast<int32_t>(st.value));
+            if (st.bytes == 1)
+                a.sb(t1, t0, st.imm);
+            else if (st.bytes == 2)
+                a.sh(t1, t0, st.imm);
+            else
+                a.sw(t1, t0, st.imm);
+            // Byte i of an access lives at addr + i, mod 2^32.
+            for (unsigned i = 0; i < st.bytes; ++i)
+                bytes[base + st.imm + i] = uint8_t(st.value >> (8 * i));
+        }
+        const Reg dests[] = {a0, a1, a2, a3, a4, a5, a6, a7, s2, s3,
+                             s4, s5, s6, s7, s8};
+        size_t next_rd = 0;
+        for (Op op : {Op::LB, Op::LBU, Op::LH, Op::LHU, Op::LW}) {
+            for (int32_t imm : {-2, -1, 0}) {
+                Reg rd = dests[next_rd++];
+                switch (op) {
+                  case Op::LB: a.lb(rd, t0, imm); break;
+                  case Op::LBU: a.lbu(rd, t0, imm); break;
+                  case Op::LH: a.lh(rd, t0, imm); break;
+                  case Op::LHU: a.lhu(rd, t0, imm); break;
+                  default: a.lw(rd, t0, imm); break;
+                }
+                loads.push_back({op, imm, rd, expected(op, base + imm)});
+            }
+        }
+        a.ecall();
+        prog = a.finish();
+    }
+
+    /** What load @p op at @p addr reads from the byte map. */
+    uint32_t
+    expected(Op op, Addr addr) const
+    {
+        unsigned width = op == Op::LW ? 4
+            : (op == Op::LH || op == Op::LHU) ? 2 : 1;
+        uint32_t v = 0;
+        for (unsigned i = 0; i < width; ++i) {
+            auto it = bytes.find(addr + i);
+            if (it != bytes.end())
+                v |= uint32_t(it->second) << (8 * i);
+        }
+        if (op == Op::LB)
+            v = uint32_t(int32_t(int8_t(v)));
+        if (op == Op::LH)
+            v = uint32_t(int32_t(int16_t(v)));
+        return v;
+    }
+
+    /** Run the case; @p peek reads a byte where the region under
+     * test keeps it. */
+    template <typename Peek>
+    void
+    check(Harness &h, Peek peek) const
+    {
+        h.run();
+        for (const Load &ld : loads) {
+            EXPECT_EQ(h.exec.reg(ld.rd), ld.want)
+                << opName(ld.op) << " at offset " << ld.imm;
+        }
+        for (const auto &[addr, value] : bytes)
+            EXPECT_EQ(peek(addr), value) << "byte 0x" << std::hex << addr;
+    }
+
+    Program prog;
+    std::map<Addr, uint8_t> bytes;
+    std::vector<Load> loads;
+};
+
+} // namespace
+
+TEST(Executor, ExternalAccessesStraddlingAPageMatchAByteMap)
+{
+    // FlatMemory's 4 KiB pages: 0x80000FFF is the last byte of one.
+    ByteMapCase c(0x80000FFFu);
+    Harness h(c.prog);
+    c.check(h, [&](Addr a) { return h.ext.peek(a); });
+}
+
+TEST(Executor, ExternalAccessesWrappingAt32BitsMatchAByteMap)
+{
+    // An access that starts off the local window goes whole to the
+    // external store, whose later bytes wrap to its address 0 —
+    // not to local dmem.
+    ByteMapCase c(0xFFFFFFFFu);
+    Harness h(c.prog);
+    c.check(h, [&](Addr a) { return h.ext.peek(a); });
+    for (Addr a = 0; a < 4; ++a)
+        EXPECT_EQ(h.nodeMem.peekDmem(a), 0u);
+}
+
+TEST(Executor, LocalDmemAccessesMatchAByteMap)
+{
+    ByteMapCase c(0x101);
+    Harness h(c.prog);
+    c.check(h, [&](Addr a) { return h.nodeMem.peekDmem(a); });
+}
+
+TEST(Executor, Slice0AccessesMatchAByteMap)
+{
+    ByteMapCase c(amap::slice0Base + 0x41);
+    Harness h(c.prog);
+    c.check(h, [&](Addr a) {
+        return h.cmem.loadByte(a - amap::slice0Base);
+    });
+    EXPECT_EQ(h.ext.peek(amap::slice0Base + 0x41), 0u);
+}
+
+TEST(ExecutorDeath, PcPastTheProgramEndPanics)
+{
+    // No ecall: the second step fetches from one past the end.
+    Assembler a;
+    a.addi(t0, t0, 1);
+    Harness h(a.finish());
+    h.exec.step();
+    EXPECT_EQ(h.exec.pc(), 4u);
+    EXPECT_DEATH(h.exec.step(), "pc 0x00000004 is past the program end");
 }
