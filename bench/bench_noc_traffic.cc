@@ -86,8 +86,14 @@ main(int argc, char **argv)
     trace::TraceSink sink;
     if (!tracePath.empty())
         noc.setTrace(&sink);
-    for (int y = 1; y <= 14; ++y) {
-        for (int x = 1; x < 15; ++x) {
+    // One forward to the east neighbour from every compute node
+    // but the region's last column.
+    const ArrayGeometry &geo = opt.config.system.geometry;
+    unsigned forwards = 0;
+    for (int y = geo.computeY0; y < geo.computeY0 + geo.computeH; ++y) {
+        for (int x = geo.computeX0;
+             x + 1 < geo.computeX0 + geo.computeW; ++x) {
+            ++forwards;
             for (int r = 0; r < 8; ++r) {
                 Packet p;
                 p.src = noc.nodeId(x, y);
@@ -98,10 +104,10 @@ main(int argc, char **argv)
         }
     }
     noc.drain();
-    std::printf("196 simultaneous vector forwards (8x9 flits "
+    std::printf("%u simultaneous vector forwards (8x9 flits "
                 "each): %llu cycles, avg latency %.1f, %llu "
                 "flit-hops\n",
-                static_cast<unsigned long long>(noc.now()),
+                forwards, static_cast<unsigned long long>(noc.now()),
                 noc.avgPacketLatency(),
                 static_cast<unsigned long long>(noc.flitHops()));
     std::printf("Neighbour chains never share links (zig-zag "

@@ -112,25 +112,23 @@ struct SweepResult
 int
 main(int argc, char **argv)
 {
-    cli::Options opt("bench_serving", argc, argv);
+    SimConfig defaults;
+    defaults.serving.seed = 42;
+    defaults.serving.offeredRequests = 48;
+    defaults.serving.queueCapacity = 1u << 20; // no admission control
+    cli::Options opt("bench_serving", argc, argv, defaults);
     std::string arrivals = opt.flag("arrivals");
     uint64_t requests = opt.flagUint("requests", 0);
     uint64_t batch = opt.flagUint("batch", 0);
     if (!opt.finish())
         return opt.exitCode();
-    if (opt.dumpConfigOnly())
-        return 0;
-
-    ServingConfig cfg = opt.config.serving;
-    cfg.seed = opt.seed(42);
+    ServingConfig &cfg = opt.config.serving;
     if (requests)
         cfg.offeredRequests = unsigned(requests);
-    else if (!opt.hasConfigFile())
-        cfg.offeredRequests = 48;
     if (batch)
         cfg.maxBatch = unsigned(batch);
-    if (!opt.hasConfigFile())
-        cfg.queueCapacity = 1u << 20; // sweep w/o admission control
+    if (opt.dumpConfigOnly())
+        return 0;
 
     // The served mix: two CNN sizes, the larger twice as popular.
     Network camera = buildSmallCnn(16, 16, 64);
@@ -427,7 +425,7 @@ main(int argc, char **argv)
             }
             const ServingResult &a = r.aggregate;
             st.addRow({std::to_string(chips),
-                       chips == 1 ? "-" : shardPolicyName(sp),
+                       chips == 1 ? "-" : enumName(sp),
                        TextTable::num(a.completed),
                        TextTable::num(a.rejected),
                        TextTable::num(a.p50 * ms, 3),

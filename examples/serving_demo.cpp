@@ -27,19 +27,18 @@ using namespace maicc;
 int
 main(int argc, char **argv)
 {
-    cli::Options opt("serving_demo", argc, argv);
+    SimConfig defaults;
+    defaults.serving.seed = 7;
+    defaults.serving.offeredRequests = 12;
+    defaults.serving.meanInterarrival = 150'000; // moderately loaded
+    defaults.serving.maxBatch = 2;
+    cli::Options opt("serving_demo", argc, argv, defaults);
     if (!opt.finish())
         return opt.exitCode();
     if (opt.dumpConfigOnly())
         return 0;
 
-    ServingConfig cfg = opt.config.serving;
-    cfg.seed = opt.seed(7);
-    if (!opt.hasConfigFile()) {
-        cfg.offeredRequests = 12;
-        cfg.meanInterarrival = 150'000; // moderately loaded
-        cfg.maxBatch = 2;
-    }
+    const ServingConfig &cfg = opt.config.serving;
 
     Network camera = buildSmallCnn(16, 16, 64);
     Network radar = buildSmallCnn(8, 8, 64);
@@ -56,11 +55,11 @@ main(int argc, char **argv)
     sim.addModel({"camera", &camera, &camW, &camIn, 2.0, 0, 1});
     sim.addModel({"radar", &radar, &radW, &radIn, 1.0, 0, 0});
 
-    std::printf("policy %s%s", policyName(cfg.policy),
+    std::printf("policy %s%s", enumName(cfg.policy),
                 cfg.backfill ? " + backfill" : "");
     if (sim.chips() > 1)
         std::printf("   %u chips, dispatch %s", sim.chips(),
-                    shardPolicyName(cfg.shardPolicy));
+                    enumName(cfg.shardPolicy));
     std::printf("\n\n");
     ClusterResult cr = sim.run();
     const ServingResult &r = cr.aggregate;

@@ -1,11 +1,11 @@
 #include "common/cli.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <thread>
 
 #include "common/sim_component.hh"
 
@@ -31,28 +31,66 @@ parseUint(const std::string &s, uint64_t &out)
     return true;
 }
 
-bool
-parseDouble(const std::string &s, double &out)
+constexpr ConfigFlag kConfigFlags[] = {
+    {"threads", "MAICC_THREADS", "system.numThreads"},
+    {"seed", nullptr, "serving.seed"},
+    {"sim-cache", nullptr, "system.simCacheEntries"},
+    {"policy", nullptr, "serving.policy"},
+    {"slo-cycles", nullptr, "serving.sloCycles"},
+    {"chips", nullptr, "serving.chips"},
+    {"shard-policy", nullptr, "serving.shardPolicy"},
+    {"fault-seed", nullptr, "serving.faults.seed"},
+    {"fault-rate", nullptr, "serving.faults.rate"},
+    {"timeout-cycles", nullptr, "serving.timeoutCycles"},
+    {"max-retries", nullptr, "serving.maxRetries"},
+    {"backoff-cycles", nullptr, "serving.backoffCycles"},
+    {"shed-queue-depth", nullptr, "serving.shedQueueDepth"},
+};
+
+/** "--name=VALUE  path, accepted values" per row. */
+std::string
+usage()
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
+    std::string out = "common flags: --config=FILE --dump-config "
+                      "--stats-json=FILE --host-timers --trace=FILE "
+                      "--faults=FILE\n";
+    std::vector<ConfigField> schema = configFields();
+    for (const ConfigFlag &row : kConfigFlags) {
+        const ConfigField &f = *std::find_if(
+            schema.begin(), schema.end(),
+            [&](const ConfigField &c) { return c.path == row.path; });
+        std::string value = f.type == Json::Type::Int ? "N"
+            : f.type == Json::Type::Double            ? "R"
+                                                      : "";
+        for (const std::string &n : f.names)
+            value += (value.empty() ? "" : "|") + n;
+        out += "  --";
+        out += row.name;
+        out += "=" + value + "  " + row.path;
+        if (f.names.empty())
+            out += ", " + f.expected.substr(std::strlen("expected "));
+        if (row.env)
+            out += std::string(" (or ") + row.env + ")";
+        out += "\n";
+    }
+    return out;
 }
 
 } // namespace
 
+std::span<const ConfigFlag>
+configFlags()
+{
+    return kConfigFlags;
+}
+
 std::string
 Options::take(int &argc, char **argv, const char *name)
 {
-    std::string prefix = std::string("--") + name + "=";
-    std::string bare = std::string("--") + name;
-    std::string value;
+    std::string bare = "--";
+    bare += name;
+    std::string prefix = bare + "=";
+    const char *value = "";
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (!std::strncmp(argv[i], prefix.c_str(),
@@ -68,177 +106,59 @@ Options::take(int &argc, char **argv, const char *name)
     return value;
 }
 
-Options::Options(std::string tool_name, int &argc, char **argv)
-    : tool(std::move(tool_name)), argcp(&argc), argv(argv)
+void
+Options::fail(const std::string &msg)
 {
-    // Environment first (lowest precedence above the defaults).
+    if (error.empty())
+        error = msg;
+}
+
+Options::Options(std::string tool_name, int &argc, char **argv,
+                 SimConfig defaults)
+    : config(std::move(defaults)), tool(std::move(tool_name)),
+      argcp(&argc), argv(argv)
+{
+    std::string err;
+    // Environment first: the lowest layer above the defaults.
     if (const char *env = std::getenv("MAICC_TRACE"))
         trace = env;
-    uint64_t env_threads = 0;
-    bool env_threads_set = false;
-    if (const char *env = std::getenv("MAICC_THREADS"))
-        env_threads_set = parseUint(env, env_threads);
-    if (env_threads_set)
-        config.system.numThreads = unsigned(env_threads);
-
-    // Config file overlays the defaults (and the env threads).
-    configPath = take(argc, argv, "config");
-    if (!configPath.empty()) {
-        std::string err;
-        if (!loadConfigFile(configPath, config, &err))
-            error = err;
+    for (const ConfigFlag &row : kConfigFlags) {
+        const char *v = row.env ? std::getenv(row.env) : nullptr;
+        if (v && *v
+            && !setConfigField(config, row.path, v, row.env, &err))
+            fail(err);
     }
+
+    // Then the files: --config, and --faults on top of its faults.
+    std::string path = take(argc, argv, "config");
+    Json doc;
+    if (!path.empty()
+        && !(readJsonFile(path, "config", doc, &err)
+             && overlayConfig(doc, config, &err)))
+        fail(err);
+    path = take(argc, argv, "faults");
+    if (!path.empty()
+        && !(readJsonFile(path, "faults", doc, &err)
+             && overlayFaults(doc, config.serving.faults, &err)))
+        fail("--faults: " + err);
 
     // Explicit flags win over everything.
-    std::string threads_s = take(argc, argv, "threads");
-    if (!threads_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(threads_s, v))
-            config.system.numThreads = unsigned(v);
-        else if (error.empty())
-            error = "--threads: expected an unsigned integer";
+    for (const ConfigFlag &row : kConfigFlags) {
+        std::string v = take(argc, argv, row.name);
+        if (!v.empty()
+            && !setConfigField(config, row.path, v,
+                               std::string("--") + row.name, &err))
+            fail(err);
     }
-    std::string seed_s = take(argc, argv, "seed");
-    if (!seed_s.empty()) {
-        if (parseUint(seed_s, seedVal))
-            seedSet = true;
-        else if (error.empty())
-            error = "--seed: expected an unsigned integer";
-    }
-    std::string trace_s = take(argc, argv, "trace");
-    if (!trace_s.empty())
-        trace = trace_s;
-    std::string sim_cache_s = take(argc, argv, "sim-cache");
-    if (!sim_cache_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(sim_cache_s, v))
-            config.system.simCacheEntries = unsigned(v);
-        else if (error.empty())
-            error = "--sim-cache: expected an unsigned integer";
-    }
-    std::string policy_s = take(argc, argv, "policy");
-    if (!policy_s.empty()
-        && !parsePolicy(policy_s, config.serving.policy)
-        && error.empty()) {
-        error = "--policy: expected fifo, sjf, or priority";
-    }
-    std::string slo_s = take(argc, argv, "slo-cycles");
-    if (!slo_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(slo_s, v))
-            config.serving.sloCycles = v;
-        else if (error.empty())
-            error = "--slo-cycles: expected an unsigned integer";
-    }
-    std::string chips_s = take(argc, argv, "chips");
-    if (!chips_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(chips_s, v) && v >= 1 && v <= 64)
-            config.serving.chips = unsigned(v);
-        else if (error.empty())
-            error = "--chips: expected an integer in [1, 64]";
-    }
-    std::string shard_policy_s = take(argc, argv, "shard-policy");
-    if (!shard_policy_s.empty()
-        && !parseShardPolicy(shard_policy_s,
-                             config.serving.shardPolicy)
-        && error.empty()) {
-        error = "--shard-policy: expected round-robin, "
-                "least-loaded, or model-affinity";
-    }
-    std::string faults_s = take(argc, argv, "faults");
-    if (!faults_s.empty()) {
-        std::string err;
-        if (!loadFaultsFile(faults_s, config.serving.faults, &err)
-            && error.empty()) {
-            error = "--faults: " + err;
-        }
-    }
-    std::string fault_seed_s = take(argc, argv, "fault-seed");
-    if (!fault_seed_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(fault_seed_s, v))
-            config.serving.faults.seed = v;
-        else if (error.empty())
-            error = "--fault-seed: expected an unsigned integer";
-    }
-    std::string fault_rate_s = take(argc, argv, "fault-rate");
-    if (!fault_rate_s.empty()) {
-        double v = 0.0;
-        if (parseDouble(fault_rate_s, v) && v >= 0.0)
-            config.serving.faults.rate = v;
-        else if (error.empty())
-            error = "--fault-rate: expected a non-negative number "
-                    "(faults per million cycles)";
-    }
-    std::string timeout_s = take(argc, argv, "timeout-cycles");
-    if (!timeout_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(timeout_s, v))
-            config.serving.timeoutCycles = v;
-        else if (error.empty())
-            error = "--timeout-cycles: expected an unsigned "
-                    "integer";
-    }
-    std::string retries_s = take(argc, argv, "max-retries");
-    if (!retries_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(retries_s, v))
-            config.serving.maxRetries = unsigned(v);
-        else if (error.empty())
-            error = "--max-retries: expected an unsigned integer";
-    }
-    std::string backoff_s = take(argc, argv, "backoff-cycles");
-    if (!backoff_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(backoff_s, v))
-            config.serving.backoffCycles = v;
-        else if (error.empty())
-            error = "--backoff-cycles: expected an unsigned "
-                    "integer";
-    }
-    std::string shed_s = take(argc, argv, "shed-queue-depth");
-    if (!shed_s.empty()) {
-        uint64_t v = 0;
-        if (parseUint(shed_s, v))
-            config.serving.shedQueueDepth = unsigned(v);
-        else if (error.empty())
-            error = "--shed-queue-depth: expected an unsigned "
-                    "integer";
-    }
+    if (std::string t = take(argc, argv, "trace"); !t.empty())
+        trace = t;
     hostTimers = !take(argc, argv, "host-timers").empty();
     statsJson = take(argc, argv, "stats-json");
     dumpConfig = !take(argc, argv, "dump-config").empty();
 
-    // Re-validate the fault spec against the *final* serving shape:
-    // --chips (above) and --faults can each arrive after the other
-    // precedence layers, so the config-file-time check in
-    // fromJson(SimConfig) may have seen a different chip range.
-    if (error.empty()) {
-        std::string err;
-        if (!validateFaultConfig(
-                config.serving.faults,
-                std::max(1u, config.serving.chips),
-                config.system.dramChannels, &err)) {
-            error = err;
-        }
-    }
-
-    // Keep the one system tree consistent (serving runs under it).
-    config.serving.system = config.system;
-    if (seedSet)
-        config.serving.seed = seedVal;
-}
-
-uint64_t
-Options::seed(uint64_t def) const
-{
-    if (seedSet)
-        return seedVal;
-    // A config file's serving.seed overrides the binary default.
-    if (!configPath.empty())
-        return config.serving.seed;
-    return def;
+    // The cross-field checks see the final tree, once.
+    if (error.empty() && !validateConfig(config, &err))
+        fail(err);
 }
 
 std::string
@@ -256,9 +176,8 @@ Options::flagUint(const char *name, uint64_t def)
         return def;
     uint64_t out = 0;
     if (!parseUint(v, out)) {
-        if (error.empty())
-            error = std::string("--") + name
-                + ": expected an unsigned integer";
+        fail(std::string("--") + name
+             + ": expected an unsigned integer");
         return def;
     }
     return out;
@@ -279,19 +198,7 @@ Options::finish(bool allow_extra)
     if (!error.empty()) {
         std::fprintf(stderr, "%s: %s\n", tool.c_str(),
                      error.c_str());
-        std::fprintf(
-            stderr,
-            "common flags: --config=FILE --dump-config "
-            "--stats-json=FILE --threads=N --seed=S "
-            "--trace=FILE --sim-cache=N "
-            "--host-timers "
-            "--policy=fifo|sjf|priority --slo-cycles=N "
-            "--chips=N "
-            "--shard-policy=round-robin|least-loaded|"
-            "model-affinity "
-            "--faults=FILE --fault-seed=S --fault-rate=R "
-            "--timeout-cycles=N --max-retries=N "
-            "--backoff-cycles=N --shed-queue-depth=N\n");
+        std::fputs(usage().c_str(), stderr);
         return false;
     }
     return true;

@@ -1,51 +1,33 @@
 /**
  * @file
  * The one command-line front end shared by every bench and example
- * binary. Replaces the per-binary copies of `--threads` /
- * `MAICC_THREADS` / `--trace` / `--seed` parsing with a single
- * implementation, and adds the uniform run plumbing:
+ * binary. Two kinds of common flag:
  *
- *   --config=FILE     overlay a JSON config file ("-" = stdin) on
- *                     the defaults (schema: DESIGN.md §12)
- *   --dump-config     print the effective config JSON and exit
- *   --stats-json=FILE dump the SimContext stat registry as JSON
- *                     after the run ("-" = stdout)
- *   --threads=N       host threads (also MAICC_THREADS; 0 = hw)
- *   --seed=S          RNG seed where the binary uses one
- *   --trace=FILE      commit-trace JSONL (also MAICC_TRACE)
- *   --sim-cache=N     timing-result cache capacity in entries
- *                     (runtime/sim_cache.hh; 0 = off)
- *   --policy=P        serving admission policy: fifo, sjf, or
- *                     priority (runtime/admission.hh)
- *   --slo-cycles=N    serving per-request latency SLO in cycles
- *                     (0 = SLO accounting off)
- *   --chips=N         serving chip shards in [1, 64]
- *                     (runtime/cluster.hh; 1 = single chip)
- *   --shard-policy=P  cross-chip dispatch: round-robin,
- *                     least-loaded, or model-affinity
- *   --faults=FILE     load a fault-schedule JSON document
- *                     (fault/fault_model.hh; "-" = stdin) into
- *                     serving.faults
- *   --fault-seed=S    seed of the random fault schedule
- *   --fault-rate=R    random faults per million cycles (0 = none)
- *   --timeout-cycles=N per-request serving timeout before a retry
- *                     (0 = timeouts off)
- *   --max-retries=N   retry budget per request before it is
- *                     dropped as timed out
- *   --backoff-cycles=N base of the exponential retry backoff
- *   --shed-queue-depth=N shed fresh arrivals when the total queued
- *                     depth reaches N (0 = shedding off)
- *   --host-timers     include per-component host wall-clock
- *                     attribution (hostSeconds) in --stats-json
+ *  - *Run plumbing*, handled here: `--config=FILE` (overlay a JSON
+ *    config, "-" = stdin; schema DESIGN.md §12), `--dump-config`
+ *    (print the effective config and exit), `--stats-json=FILE`,
+ *    `--host-timers`, `--trace=FILE` (also MAICC_TRACE) and
+ *    `--faults=FILE` (a FaultConfig document into serving.faults).
+ *  - *Config rows*: every other common flag sets one config field
+ *    and is a row of configFlags() in cli.cc — its name, its
+ *    environment variable if any, and the field's path. A row's
+ *    value goes through the config reader (common/config.hh), so a
+ *    flag, its variable and a config file accept the same values
+ *    and fail with the same message. The usage text is generated
+ *    from the rows.
  *
- * Precedence: defaults < MAICC_* environment < --config file <
- * explicit flags. Binaries fetch their own extra flags with
- * flag()/flagUint() and then call finish(), which rejects any
- * unrecognized --option so typos fail loudly.
+ * Precedence: the binary's defaults < MAICC_* environment <
+ * --config file < --faults file < flags. The cross-field checks
+ * (validateConfig) run once, after the last of these. Binaries
+ * fetch their own extra flags with flag()/flagUint() and then call
+ * finish(), which rejects any unrecognized --option so typos fail
+ * loudly.
  *
  * Canonical usage:
  *
- *   cli::Options opt("bench_foo", argc, argv);
+ *   SimConfig defaults;              // what this binary runs
+ *   defaults.serving.seed = 7;
+ *   cli::Options opt("bench_foo", argc, argv, defaults);
  *   unsigned reqs = unsigned(opt.flagUint("requests", 48));
  *   if (!opt.finish())        return opt.exitCode();
  *   if (opt.dumpConfigOnly()) return 0;
@@ -57,8 +39,8 @@
 #define MAICC_COMMON_CLI_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 
@@ -70,6 +52,17 @@ class SimContext;
 namespace cli
 {
 
+/** One common flag that sets one config field. */
+struct ConfigFlag
+{
+    const char *name; ///< `--name=VALUE`
+    const char *env;  ///< environment variable, or nullptr
+    const char *path; ///< dotted config key, e.g. "serving.chips"
+};
+
+/** Every config-setting common flag, in usage order. */
+std::span<const ConfigFlag> configFlags();
+
 /**
  * Parsed common command-line flags plus the effective SimConfig
  * they produce. One instance per binary; see the file comment for
@@ -79,11 +72,13 @@ class Options
 {
   public:
     /**
-     * Parse and strip every common flag from @p argv. Errors
-     * (malformed value, unreadable config file) are recorded, not
-     * thrown: check ok()/finish().
+     * Start from @p defaults, then overlay the environment, the
+     * config file and every common flag from @p argv (stripping
+     * them). Errors (malformed value, unreadable config file) are
+     * recorded, not thrown: check ok()/finish().
      */
-    Options(std::string tool, int &argc, char **argv);
+    Options(std::string tool, int &argc, char **argv,
+            SimConfig defaults = {});
 
     /** The effective configuration tree. */
     SimConfig config;
@@ -91,18 +86,11 @@ class Options
     /** Resolved host-thread count (== config.system.numThreads). */
     unsigned threads() const { return config.system.numThreads; }
 
-    /** --seed=S, or @p def when absent (config file's serving.seed
-     * acts as an intermediate default). */
-    uint64_t seed(uint64_t def) const;
-
     /** --trace=FILE / MAICC_TRACE; empty = tracing off. */
     const std::string &tracePath() const { return trace; }
 
     /** --stats-json=FILE; empty = no stats dump. */
     const std::string &statsPath() const { return statsJson; }
-
-    /** True when a --config file overlaid the defaults. */
-    bool hasConfigFile() const { return !configPath.empty(); }
 
     /** Parse and strip a binary-specific `--name=value`. */
     std::string flag(const char *name, const std::string &def = "");
@@ -140,15 +128,13 @@ class Options
 
   private:
     std::string take(int &argc, char **argv, const char *name);
+    void fail(const std::string &msg);
 
     std::string tool;
     int *argcp = nullptr;
     char **argv = nullptr;
     std::string trace;
     std::string statsJson;
-    std::string configPath;
-    uint64_t seedVal = 0;
-    bool seedSet = false;
     bool dumpConfig = false;
     bool hostTimers = false;
     std::string error;

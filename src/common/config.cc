@@ -1,12 +1,13 @@
 #include "common/config.hh"
 
 #include <algorithm>
+#include <concepts>
 #include <fstream>
 #include <iostream>
-#include <set>
+#include <limits>
 #include <sstream>
-
-#include "common/json.hh"
+#include <type_traits>
+#include <utility>
 
 namespace maicc
 {
@@ -14,477 +15,344 @@ namespace maicc
 namespace
 {
 
-/**
- * Strict object reader: typed field extraction with "<path>.<key>"
- * error messages, plus an unknown-key check in finish() so typos
- * in a hand-written config file fail loudly instead of silently
- * keeping the default.
- */
-class ObjectReader
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+// ------------------------------------------------------------------
+// Field lists: one per config struct, in dump order. Json keeps
+// insertion order and the timing-cache key hashes the system dump,
+// so reordering a list changes bytes. f(key, member) accepts the
+// member type's whole range; f(key, member, lo, hi) narrows it to
+// what the models can run without dividing by zero, overflowing a
+// table, or asserting.
+// ------------------------------------------------------------------
+
+template <typename F, Is<ArrayGeometry> S>
+void
+fields(F &&f, S &g)
 {
-  public:
-    ObjectReader(const Json &j, std::string path, std::string *err)
-        : j(j), path(std::move(path)), err(err)
-    {
-        if (!j.isObject())
-            fail("", "expected an object");
+    // MeshNoc caps a mesh at 65,536 nodes.
+    f("meshW", g.meshW, 1, 256);
+    f("meshH", g.meshH, 1, 256);
+    f("computeX0", g.computeX0, 0, 255);
+    f("computeY0", g.computeY0, 0, 255);
+    f("computeW", g.computeW, 1, 256);
+    f("computeH", g.computeH, 1, 256);
+}
+
+template <typename F, Is<NocConfig> S>
+void
+fields(F &&f, S &c)
+{
+    f("width", c.width, 1, 256);
+    f("height", c.height, 1, 256);
+    f("routerLatency", c.routerLatency, 0, 1024);
+    f("queueDepth", c.queueDepth, 1, 64);
+}
+
+template <typename F, Is<DramConfig> S>
+void
+fields(F &&f, S &c)
+{
+    // rowBytes x numBanks stays inside 32 bits.
+    f("numBanks", c.numBanks, 1, 1024);
+    f("rowBytes", c.rowBytes, 1, 1 << 20);
+    f("accessBytes", c.accessBytes, 1, 1 << 20);
+    f("tRCD", c.tRCD, 0, 1 << 20);
+    f("tCAS", c.tCAS, 0, 1 << 20);
+    f("tRP", c.tRP, 0, 1 << 20);
+    f("tRAS", c.tRAS, 0, 1 << 20);
+    f("burst", c.burst, 1, 1 << 20);
+}
+
+template <typename F, Is<CacheConfig> S>
+void
+fields(F &&f, S &c)
+{
+    f("sizeBytes", c.sizeBytes, 1, 1u << 30);
+    f("lineBytes", c.lineBytes, 1, 4096);
+    f("ways", c.ways, 1, 1024);
+    f("hitLatency", c.hitLatency, 0, 1 << 20);
+}
+
+template <typename F, Is<CoreConfig> S>
+void
+fields(F &&f, S &c)
+{
+    // Latencies bound the sliding write-back booking window.
+    f("cmemQueueSize", c.cmemQueueSize, 0, 64);
+    f("wbPorts", c.wbPorts, 1, 64);
+    f("mulLatency", c.mulLatency, 0, 1024);
+    f("divLatency", c.divLatency, 0, 1024);
+    f("loadLatency", c.loadLatency, 0, 1024);
+    f("remoteLatency", c.remoteLatency, 0, 1024);
+    f("branchPenalty", c.branchPenalty, 0, 1024);
+}
+
+template <typename F, Is<SystemConfig> S>
+void
+fields(F &&f, S &c)
+{
+    f("coreBudget", c.coreBudget, 1, 65536);
+    f("dramChannels", c.dramChannels, 1, 512);
+    f("clockHz", c.clockHz, 1.0, 1e12);
+    // ThreadPool starts numThreads - 1 threads (0 = hardware).
+    f("numThreads", c.numThreads, 0, 256);
+    f("simCacheEntries", c.simCacheEntries);
+    f("geometry", c.geometry);
+    f("noc", c.noc);
+    f("dram", c.dram);
+    f("llc", c.llc);
+}
+
+template <typename F, Is<FaultEvent> S>
+void
+fields(F &&f, S &e)
+{
+    // Kind-specific rules are validateFaultConfig's.
+    f("kind", e.kind);
+    f("cycle", e.cycle);
+    f("chip", e.chip, 0, 63);
+    f("count", e.count);
+    f("until", e.until);
+    f("factor", e.factor, 0.0, 1e6);
+}
+
+template <typename F, Is<FaultConfig> S>
+void
+fields(F &&f, S &c)
+{
+    f("events", c.events);
+    f("seed", c.seed);
+    f("rate", c.rate, 0.0, 1e6);
+    f("window", c.window);
+}
+
+template <typename F, Is<ServingConfig> S>
+void
+fields(F &&f, S &c)
+{
+    // serving.system is the top-level system tree; not listed.
+    f("arrivals", c.arrivals);
+    f("seed", c.seed);
+    f("meanInterarrival", c.meanInterarrival);
+    f("offeredRequests", c.offeredRequests);
+    f("horizon", c.horizon);
+    f("queueCapacity", c.queueCapacity);
+    f("maxBatch", c.maxBatch, 1, ~0u);
+    f("batchAcrossQueue", c.batchAcrossQueue);
+    f("policy", c.policy);
+    f("backfill", c.backfill);
+    f("sloCycles", c.sloCycles);
+    f("cutoff", c.cutoff);
+    f("selfCheck", c.selfCheck);
+    // Shard masks are uint64_t (cluster.cc).
+    f("chips", c.chips, 1, 64);
+    f("shardPolicy", c.shardPolicy);
+    f("faults", c.faults);
+    f("timeoutCycles", c.timeoutCycles);
+    f("maxRetries", c.maxRetries);
+    f("backoffCycles", c.backoffCycles);
+    f("shedQueueDepth", c.shedQueueDepth);
+}
+
+template <typename F, Is<SimConfig> S>
+void
+fields(F &&f, S &c)
+{
+    f("system", c.system);
+    f("core", c.core);
+    f("serving", c.serving);
+}
+
+// ------------------------------------------------------------------
+// The walkers: one writer, one reader, one schema lister.
+// ------------------------------------------------------------------
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename E>
+constexpr bool kIsVector<std::vector<E>> = true;
+
+/** A numeric field's accepted range, inclusive. */
+template <typename T>
+struct Range
+{
+    T lo, hi;
+};
+
+/**
+ * The range a field list gives, or the member type's own. Integers
+ * stop at INT64_MAX, the largest integer a Json holds.
+ */
+template <typename T, typename... B>
+Range<T>
+rangeOf(B... bounds)
+{
+    if constexpr (sizeof...(B) == 2) {
+        return {static_cast<T>(bounds)...};
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return {std::numeric_limits<T>::lowest(),
+                std::numeric_limits<T>::max()};
+    } else {
+        constexpr int64_t json_max =
+            std::numeric_limits<int64_t>::max();
+        return {std::numeric_limits<T>::min(),
+                std::cmp_less(json_max, std::numeric_limits<T>::max())
+                    ? T(json_max)
+                    : std::numeric_limits<T>::max()};
     }
+}
 
-    bool ok() const { return good; }
+/** A number as the dump writes it. */
+template <typename T>
+std::string
+numberText(T x)
+{
+    std::string s = Json(x).dump();
+    s.pop_back(); // the top-level newline
+    return s;
+}
 
-    template <typename T>
-    void
-    integer(const char *key, T &out)
-    {
-        const Json *v = get(key);
-        if (!v)
-            return;
-        if (!v->isInt()) {
-            fail(key, "expected an integer");
-            return;
+/** What the reader says about a bad value of a T field. */
+template <typename T, typename... B>
+std::string
+expected(B... bounds)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return "expected a boolean";
+    } else if constexpr (std::is_enum_v<T>) {
+        return enumExpected<T>();
+    } else {
+        Range<T> r = rangeOf<T>(bounds...);
+        return std::string("expected ")
+            + (std::is_integral_v<T> ? "an integer" : "a number")
+            + " in [" + numberText(r.lo) + ", " + numberText(r.hi)
+            + "]";
+    }
+}
+
+std::string
+child(const std::string &path, const char *key)
+{
+    return path.empty() ? std::string(key) : path + "." + key;
+}
+
+template <typename T>
+Json
+write(const T &m)
+{
+    if constexpr (std::is_enum_v<T>) {
+        return enumName(m);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        return m;
+    } else if constexpr (kIsVector<T>) {
+        Json a = Json::array();
+        for (const auto &e : m)
+            a.push(write(e));
+        return a;
+    } else {
+        Json o = Json::object();
+        fields([&o](const char *key, const auto &v,
+                    auto...) { o.set(key, write(v)); },
+               m);
+        return o;
+    }
+}
+
+template <typename T, typename... B>
+bool
+read(const Json &v, T &m, const std::string &where, std::string *err,
+     B... bounds)
+{
+    auto fail = [&](const std::string &what) {
+        if (err)
+            *err = where + ": " + what;
+        return false;
+    };
+    if constexpr (std::is_same_v<T, bool>) {
+        if (!v.isBool())
+            return fail(expected<T>());
+        m = v.asBool();
+    } else if constexpr (std::is_enum_v<T>) {
+        if (!v.isString() || !parseEnum(v.asString(), m))
+            return fail(expected<T>());
+    } else if constexpr (std::is_integral_v<T>) {
+        Range<T> r = rangeOf<T>(bounds...);
+        if (!v.isInt() || std::cmp_less(v.asInt(), r.lo)
+            || std::cmp_greater(v.asInt(), r.hi))
+            return fail(expected<T>(bounds...));
+        m = T(v.asInt());
+    } else if constexpr (std::is_floating_point_v<T>) {
+        Range<T> r = rangeOf<T>(bounds...);
+        if (!v.isNumber() || v.asDouble() < r.lo
+            || v.asDouble() > r.hi)
+            return fail(expected<T>(bounds...));
+        m = v.asDouble();
+    } else if constexpr (kIsVector<T>) {
+        if (!v.isArray())
+            return fail("expected an array");
+        T out(v.size());
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (!read(v.at(i), out[i],
+                      where + "[" + std::to_string(i) + "]", err))
+                return false;
         }
-        out = static_cast<T>(v->asInt());
-    }
-
-    void
-    number(const char *key, double &out)
-    {
-        const Json *v = get(key);
-        if (!v)
-            return;
-        if (!v->isNumber()) {
-            fail(key, "expected a number");
-            return;
-        }
-        out = v->asDouble();
-    }
-
-    void
-    boolean(const char *key, bool &out)
-    {
-        const Json *v = get(key);
-        if (!v)
-            return;
-        if (!v->isBool()) {
-            fail(key, "expected a boolean");
-            return;
-        }
-        out = v->asBool();
-    }
-
-    void
-    string(const char *key, std::string &out)
-    {
-        const Json *v = get(key);
-        if (!v)
-            return;
-        if (!v->isString()) {
-            fail(key, "expected a string");
-            return;
-        }
-        out = v->asString();
-    }
-
-    template <typename T>
-    void
-    nested(const char *key, T &out)
-    {
-        const Json *v = get(key);
-        if (!v)
-            return;
-        std::string sub =
-            path.empty() ? key : path + "." + key;
-        if (!fromJson(*v, out, err, sub))
-            good = false;
-    }
-
-    /** Error on any member no accessor consumed. */
-    bool
-    finish()
-    {
-        if (good && j.isObject()) {
-            for (const auto &m : j.members()) {
-                if (!consumed.count(m.first)) {
-                    fail(m.first.c_str(), "unknown key");
-                    break;
-                }
+        m = std::move(out);
+    } else {
+        // Strict about keys: a key no field consumed is a typo in a
+        // hand-written config, and fails loudly.
+        if (!v.isObject())
+            return fail("expected an object");
+        std::vector<std::string> known;
+        bool good = true;
+        fields([&](const char *key, auto &f, auto... b) {
+            known.push_back(key);
+            const Json *x = good ? v.find(key) : nullptr;
+            if (x)
+                good = read(*x, f, child(where, key), err, b...);
+        }, m);
+        for (const auto &member : v.members()) {
+            if (good && std::find(known.begin(), known.end(),
+                                  member.first) == known.end()) {
+                good = false;
+                if (err)
+                    *err = child(where, member.first.c_str())
+                        + ": unknown key";
             }
         }
         return good;
     }
+    return true;
+}
 
-    void
-    fail(const char *key, const char *what)
-    {
-        if (!good)
-            return;
-        good = false;
-        if (err) {
-            std::string where = path;
-            if (key && *key)
-                where += where.empty() ? key
-                                       : "." + std::string(key);
-            *err = where + ": " + what;
+template <typename T, typename... B>
+void
+listFields(std::vector<ConfigField> &out, const std::string &path,
+           const T &m, B... bounds)
+{
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+        ConfigField f{path, Json::Type::Bool, {}, {},
+                      expected<T>(bounds...), {}};
+        if constexpr (std::is_enum_v<T>) {
+            f.type = Json::Type::String;
+            for (const Spelling<T> &s : spellings(T{}))
+                f.names.push_back(s.name);
+        } else if constexpr (!std::is_same_v<T, bool>) {
+            Range<T> r = rangeOf<T>(bounds...);
+            f.type = std::is_integral_v<T> ? Json::Type::Int
+                                           : Json::Type::Double;
+            f.lo = r.lo;
+            f.hi = r.hi;
         }
-    }
-
-    /** Mark failed, keeping an error message already in *err. */
-    void
-    invalidate()
-    {
-        good = false;
-    }
-
-    /** Consume @p key and return it raw (nullptr when absent). */
-    const Json *
-    take(const char *key)
-    {
-        return get(key);
-    }
-
-  private:
-    const Json *
-    get(const char *key)
-    {
-        if (!good)
-            return nullptr;
-        consumed.insert(key);
-        return j.find(key);
-    }
-
-    const Json &j;
-    std::string path;
-    std::string *err;
-    std::set<std::string> consumed;
-    bool good = true;
-};
-
-} // namespace
-
-Json
-toJson(const ArrayGeometry &g)
-{
-    Json j = Json::object();
-    j.set("meshW", g.meshW);
-    j.set("meshH", g.meshH);
-    j.set("computeX0", g.computeX0);
-    j.set("computeY0", g.computeY0);
-    j.set("computeW", g.computeW);
-    j.set("computeH", g.computeH);
-    return j;
-}
-
-bool
-fromJson(const Json &j, ArrayGeometry &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("meshW", out.meshW);
-    r.integer("meshH", out.meshH);
-    r.integer("computeX0", out.computeX0);
-    r.integer("computeY0", out.computeY0);
-    r.integer("computeW", out.computeW);
-    r.integer("computeH", out.computeH);
-    return r.finish();
-}
-
-Json
-toJson(const NocConfig &c)
-{
-    Json j = Json::object();
-    j.set("width", c.width);
-    j.set("height", c.height);
-    j.set("routerLatency", c.routerLatency);
-    j.set("queueDepth", c.queueDepth);
-    return j;
-}
-
-bool
-fromJson(const Json &j, NocConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("width", out.width);
-    r.integer("height", out.height);
-    r.integer("routerLatency", out.routerLatency);
-    r.integer("queueDepth", out.queueDepth);
-    return r.finish();
-}
-
-Json
-toJson(const DramConfig &c)
-{
-    Json j = Json::object();
-    j.set("numBanks", c.numBanks);
-    j.set("rowBytes", c.rowBytes);
-    j.set("accessBytes", c.accessBytes);
-    j.set("tRCD", c.tRCD);
-    j.set("tCAS", c.tCAS);
-    j.set("tRP", c.tRP);
-    j.set("tRAS", c.tRAS);
-    j.set("burst", c.burst);
-    return j;
-}
-
-bool
-fromJson(const Json &j, DramConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("numBanks", out.numBanks);
-    r.integer("rowBytes", out.rowBytes);
-    r.integer("accessBytes", out.accessBytes);
-    r.integer("tRCD", out.tRCD);
-    r.integer("tCAS", out.tCAS);
-    r.integer("tRP", out.tRP);
-    r.integer("tRAS", out.tRAS);
-    r.integer("burst", out.burst);
-    return r.finish();
-}
-
-Json
-toJson(const CacheConfig &c)
-{
-    Json j = Json::object();
-    j.set("sizeBytes", c.sizeBytes);
-    j.set("lineBytes", c.lineBytes);
-    j.set("ways", c.ways);
-    j.set("hitLatency", c.hitLatency);
-    return j;
-}
-
-bool
-fromJson(const Json &j, CacheConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("sizeBytes", out.sizeBytes);
-    r.integer("lineBytes", out.lineBytes);
-    r.integer("ways", out.ways);
-    r.integer("hitLatency", out.hitLatency);
-    return r.finish();
-}
-
-Json
-toJson(const CoreConfig &c)
-{
-    Json j = Json::object();
-    j.set("cmemQueueSize", c.cmemQueueSize);
-    j.set("wbPorts", c.wbPorts);
-    j.set("mulLatency", c.mulLatency);
-    j.set("divLatency", c.divLatency);
-    j.set("loadLatency", c.loadLatency);
-    j.set("remoteLatency", c.remoteLatency);
-    j.set("branchPenalty", c.branchPenalty);
-    return j;
-}
-
-bool
-fromJson(const Json &j, CoreConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("cmemQueueSize", out.cmemQueueSize);
-    r.integer("wbPorts", out.wbPorts);
-    r.integer("mulLatency", out.mulLatency);
-    r.integer("divLatency", out.divLatency);
-    r.integer("loadLatency", out.loadLatency);
-    r.integer("remoteLatency", out.remoteLatency);
-    r.integer("branchPenalty", out.branchPenalty);
-    return r.finish();
-}
-
-Json
-toJson(const SystemConfig &c)
-{
-    Json j = Json::object();
-    j.set("coreBudget", c.coreBudget);
-    j.set("dramChannels", c.dramChannels);
-    j.set("clockHz", c.clockHz);
-    j.set("numThreads", c.numThreads);
-    j.set("simCacheEntries", c.simCacheEntries);
-    j.set("geometry", toJson(c.geometry));
-    j.set("noc", toJson(c.noc));
-    j.set("dram", toJson(c.dram));
-    j.set("llc", toJson(c.llc));
-    return j;
-}
-
-bool
-fromJson(const Json &j, SystemConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    r.integer("coreBudget", out.coreBudget);
-    r.integer("dramChannels", out.dramChannels);
-    r.number("clockHz", out.clockHz);
-    r.integer("numThreads", out.numThreads);
-    r.integer("simCacheEntries", out.simCacheEntries);
-    r.nested("geometry", out.geometry);
-    r.nested("noc", out.noc);
-    r.nested("dram", out.dram);
-    r.nested("llc", out.llc);
-    return r.finish();
-}
-
-Json
-toJson(const FaultEvent &e)
-{
-    Json j = Json::object();
-    j.set("kind", faultKindName(e.kind));
-    j.set("cycle", e.cycle);
-    j.set("chip", e.chip);
-    j.set("count", e.count);
-    j.set("until", e.until);
-    j.set("factor", e.factor);
-    return j;
-}
-
-bool
-fromJson(const Json &j, FaultEvent &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    std::string kind = faultKindName(out.kind);
-    r.string("kind", kind);
-    if (!parseFaultKind(kind, out.kind)) {
-        r.fail("kind",
-               "expected \"chip-fail-stop\", \"core-loss\", "
-               "\"dram-outage\", or \"noc-degrade\"");
-    }
-    r.integer("cycle", out.cycle);
-    r.integer("chip", out.chip);
-    r.integer("count", out.count);
-    r.integer("until", out.until);
-    r.number("factor", out.factor);
-    return r.finish();
-}
-
-Json
-toJson(const FaultConfig &c)
-{
-    Json j = Json::object();
-    Json events = Json::array();
-    for (const FaultEvent &e : c.events)
-        events.push(toJson(e));
-    j.set("events", std::move(events));
-    j.set("seed", c.seed);
-    j.set("rate", c.rate);
-    j.set("window", c.window);
-    return j;
-}
-
-bool
-fromJson(const Json &j, FaultConfig &out, std::string *err,
-         const std::string &path)
-{
-    ObjectReader r(j, path, err);
-    if (const Json *ev = r.take("events")) {
-        if (!ev->isArray()) {
-            r.fail("events", "expected an array");
-        } else {
-            out.events.clear();
-            for (size_t i = 0; i < ev->size(); ++i) {
-                FaultEvent e;
-                std::string sub =
-                    path + ".events[" + std::to_string(i) + "]";
-                if (!fromJson(ev->at(i), e, err, sub)) {
-                    r.invalidate();
-                    break;
-                }
-                out.events.push_back(e);
-            }
-        }
-    }
-    r.integer("seed", out.seed);
-    r.number("rate", out.rate);
-    if (out.rate < 0.0)
-        r.fail("rate", "expected a non-negative rate");
-    r.integer("window", out.window);
-    return r.finish();
-}
-
-namespace
-{
-
-const char *
-arrivalsName(ArrivalProcess p)
-{
-    return p == ArrivalProcess::Trace ? "trace" : "poisson";
-}
-
-Json
-servingToJson(const ServingConfig &c)
-{
-    Json j = Json::object();
-    j.set("arrivals", arrivalsName(c.arrivals));
-    j.set("seed", c.seed);
-    j.set("meanInterarrival", c.meanInterarrival);
-    j.set("offeredRequests", c.offeredRequests);
-    j.set("horizon", c.horizon);
-    j.set("queueCapacity", c.queueCapacity);
-    j.set("maxBatch", c.maxBatch);
-    j.set("batchAcrossQueue", c.batchAcrossQueue);
-    j.set("policy", policyName(c.policy));
-    j.set("backfill", c.backfill);
-    j.set("sloCycles", c.sloCycles);
-    j.set("cutoff", c.cutoff);
-    j.set("selfCheck", c.selfCheck);
-    j.set("chips", c.chips);
-    j.set("shardPolicy", shardPolicyName(c.shardPolicy));
-    j.set("faults", toJson(c.faults));
-    j.set("timeoutCycles", c.timeoutCycles);
-    j.set("maxRetries", c.maxRetries);
-    j.set("backoffCycles", c.backoffCycles);
-    j.set("shedQueueDepth", c.shedQueueDepth);
-    return j;
-}
-
-bool
-servingFromJson(const Json &j, ServingConfig &out,
-                std::string *err)
-{
-    ObjectReader r(j, "serving", err);
-    std::string arrivals = arrivalsName(out.arrivals);
-    r.string("arrivals", arrivals);
-    if (arrivals == "poisson") {
-        out.arrivals = ArrivalProcess::Poisson;
-    } else if (arrivals == "trace") {
-        out.arrivals = ArrivalProcess::Trace;
+        out.push_back(std::move(f));
+    } else if constexpr (kIsVector<T>) {
+        listFields(out, path + "[]", typename T::value_type{});
     } else {
-        r.fail("arrivals", "expected \"poisson\" or \"trace\"");
+        fields([&](const char *key, const auto &v, auto... b) {
+            listFields(out, child(path, key), v, b...);
+        }, m);
     }
-    r.integer("seed", out.seed);
-    r.integer("meanInterarrival", out.meanInterarrival);
-    r.integer("offeredRequests", out.offeredRequests);
-    r.integer("horizon", out.horizon);
-    r.integer("queueCapacity", out.queueCapacity);
-    r.integer("maxBatch", out.maxBatch);
-    r.boolean("batchAcrossQueue", out.batchAcrossQueue);
-    std::string policy = policyName(out.policy);
-    r.string("policy", policy);
-    if (!parsePolicy(policy, out.policy))
-        r.fail("policy",
-               "expected \"fifo\", \"sjf\", or \"priority\"");
-    r.boolean("backfill", out.backfill);
-    r.integer("sloCycles", out.sloCycles);
-    r.integer("cutoff", out.cutoff);
-    r.boolean("selfCheck", out.selfCheck);
-    r.integer("chips", out.chips);
-    if (out.chips < 1)
-        r.fail("chips", "expected >= 1");
-    std::string shard_policy = shardPolicyName(out.shardPolicy);
-    r.string("shardPolicy", shard_policy);
-    if (!parseShardPolicy(shard_policy, out.shardPolicy))
-        r.fail("shardPolicy",
-               "expected \"round-robin\", \"least-loaded\", or "
-               "\"model-affinity\"");
-    r.nested("faults", out.faults);
-    r.integer("timeoutCycles", out.timeoutCycles);
-    r.integer("maxRetries", out.maxRetries);
-    r.integer("backoffCycles", out.backoffCycles);
-    r.integer("shedQueueDepth", out.shedQueueDepth);
-    return r.finish();
 }
 
 } // namespace
@@ -492,54 +360,105 @@ servingFromJson(const Json &j, ServingConfig &out,
 Json
 toJson(const SimConfig &c)
 {
-    Json j = Json::object();
-    j.set("system", toJson(c.system));
-    j.set("core", toJson(c.core));
-    j.set("serving", servingToJson(c.serving));
-    return j;
+    return write(c);
 }
 
-bool
-fromJson(const Json &j, SimConfig &out, std::string *err)
+Json
+toJson(const SystemConfig &c)
 {
-    ObjectReader r(j, "", err);
-    r.nested("system", out.system);
-    r.nested("core", out.core);
-    if (const Json *s = r.take("serving")) {
-        if (!servingFromJson(*s, out.serving, err))
-            r.invalidate();
-    }
-    bool ok = r.finish();
-    // Cross-field fault validation needs both subtrees: chip range
-    // from serving.chips, channel count from system.dramChannels.
-    // (The CLI re-validates after --chips, which can change the
-    // range after this file was read.)
-    if (ok
-        && !validateFaultConfig(out.serving.faults,
-                                std::max(1u, out.serving.chips),
-                                out.system.dramChannels, err)) {
-        ok = false;
-    }
-    // One system tree: the serving layer always runs under the
-    // top-level system config.
-    out.serving.system = out.system;
-    return ok;
+    return write(c);
 }
 
 bool
-loadConfig(std::istream &in, SimConfig &out, std::string *err)
+overlayConfig(const Json &j, SimConfig &out, std::string *err)
 {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Json j;
-    if (!Json::parse(buf.str(), j, err))
-        return false;
-    return fromJson(j, out, err);
+    return read(j, out, "", err);
 }
 
 bool
-loadFaultsFile(const std::string &path, FaultConfig &out,
+overlayFaults(const Json &j, FaultConfig &out, std::string *err)
+{
+    return read(j, out, "faults", err);
+}
+
+bool
+setConfigField(SimConfig &out, const std::string &path,
+               const std::string &text, const std::string &where,
                std::string *err)
+{
+    Json doc;
+    if (!Json::parse(text, doc))
+        doc = Json(text);
+    // Wrap the value in one object per path component, innermost
+    // first: "serving.chips" -> {"serving": {"chips": value}}.
+    for (size_t end = path.size(); end != std::string::npos;) {
+        size_t dot = path.rfind('.', end - 1);
+        size_t begin = dot == std::string::npos ? 0 : dot + 1;
+        Json wrap = Json::object();
+        wrap.set(path.substr(begin, end - begin), std::move(doc));
+        doc = std::move(wrap);
+        end = dot;
+    }
+    std::string e;
+    if (overlayConfig(doc, out, &e))
+        return true;
+    // The only key in the document is the field itself, so the
+    // message starts with its path: name the flag instead.
+    if (err)
+        *err = where + e.substr(std::min(path.size(), e.size()));
+    return false;
+}
+
+bool
+validateConfig(SimConfig &cfg, std::string *err)
+{
+    auto fail = [&](const std::string &where,
+                    const std::string &what) {
+        if (err)
+            *err = where + ": " + what;
+        return false;
+    };
+    const SystemConfig &s = cfg.system;
+    const ArrayGeometry &g = s.geometry;
+    if (g.computeX0 + g.computeW > g.meshW
+        || g.computeY0 + g.computeH > g.meshH) {
+        return fail("system.geometry",
+                    "the compute region does not fit in the "
+                        + std::to_string(g.meshW) + " x "
+                        + std::to_string(g.meshH) + " mesh");
+    }
+    // One mesh: the NoC routes over the array the geometry places on.
+    if (s.noc.width != g.meshW || s.noc.height != g.meshH) {
+        return fail("system.noc",
+                    "a " + std::to_string(s.noc.width) + " x "
+                        + std::to_string(s.noc.height)
+                        + " NoC does not match the "
+                        + std::to_string(g.meshW) + " x "
+                        + std::to_string(g.meshH)
+                        + " mesh of system.geometry");
+    }
+    if (s.coreBudget > g.computeNodes()) {
+        return fail("system.coreBudget",
+                    "exceeds the " + std::to_string(g.computeNodes())
+                        + " compute nodes of system.geometry");
+    }
+    if (s.llc.lineBytes & (s.llc.lineBytes - 1))
+        return fail("system.llc.lineBytes", "expected a power of 2");
+    if (s.llc.numSets() < 1) {
+        return fail("system.llc.sizeBytes",
+                    "expected at least lineBytes x ways");
+    }
+    if (!validateFaultConfig(cfg.serving.faults, cfg.serving.chips,
+                             s.dramChannels, err))
+        return false;
+    // One system tree: the serving layer always runs under it.
+    cfg.serving.system = cfg.system;
+    return true;
+}
+
+bool
+readJsonFile(const std::string &path, const char *what, Json &out,
+             std::string *err)
 {
     std::ostringstream buf;
     if (path == "-") {
@@ -548,36 +467,27 @@ loadFaultsFile(const std::string &path, FaultConfig &out,
         std::ifstream in(path);
         if (!in) {
             if (err)
-                *err = "cannot open faults file: " + path;
+                *err = std::string("cannot open ") + what
+                    + " file: " + path;
             return false;
         }
         buf << in.rdbuf();
     }
-    Json j;
-    if (!Json::parse(buf.str(), j, err))
-        return false;
-    return fromJson(j, out, err, "faults");
-}
-
-bool
-loadConfigFile(const std::string &path, SimConfig &out,
-               std::string *err)
-{
-    if (path == "-")
-        return loadConfig(std::cin, out, err);
-    std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = "cannot open config file: " + path;
-        return false;
-    }
-    return loadConfig(in, out, err);
+    return Json::parse(buf.str(), out, err);
 }
 
 void
 dumpConfig(std::ostream &os, const SimConfig &cfg)
 {
     toJson(cfg).write(os);
+}
+
+std::vector<ConfigField>
+configFields()
+{
+    std::vector<ConfigField> out;
+    listFields(out, "", SimConfig{});
+    return out;
 }
 
 } // namespace maicc

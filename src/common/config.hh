@@ -9,10 +9,18 @@
  * dumping the defaults produces the documented schema
  * (DESIGN.md §12).
  *
- * Deserialization is *strict about keys* (an unknown key is an
- * error, catching config-file typos) and *lenient about
- * presence* (a missing key keeps its default), so a config file
- * can state only what it overrides.
+ * Each config struct has exactly one field list in config.cc: key,
+ * member and accepted range, in dump order. The JSON writer, the
+ * strict reader, the command-line rows (cli.hh) and configFields()
+ * all walk those lists, and enum fields use their enum's one
+ * spelling table (common/enum_names.hh).
+ *
+ * Reading is *strict about keys, types and ranges* (an unknown key,
+ * a wrong type or an out-of-range value is an error naming its
+ * path) and *lenient about presence* (a missing key keeps its
+ * current value), so a config file can state only what it
+ * overrides. Cross-field checks (validateConfig) run once, after
+ * the last overlay.
  *
  * This lives in common/ next to json/cli: the bound structs are
  * all header-only aggregates, so the binding needs their headers
@@ -24,15 +32,15 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "common/json.hh"
 #include "core/core_config.hh"
 #include "runtime/serving.hh"
 #include "runtime/system.hh"
 
 namespace maicc
 {
-
-class Json;
 
 /** Everything configurable, as one tree. */
 struct SimConfig
@@ -47,62 +55,79 @@ struct SimConfig
     ServingConfig serving;
 };
 
-// Per-struct binding. fromJson overlays @p j onto @p out (missing
-// keys keep their current values) and returns false with a
-// "<path>: <what>" message in @p err on a type mismatch or an
-// unknown key.
-Json toJson(const ArrayGeometry &g);
-Json toJson(const NocConfig &c);
-Json toJson(const DramConfig &c);
-Json toJson(const CacheConfig &c);
-Json toJson(const CoreConfig &c);
-Json toJson(const SystemConfig &c);
-Json toJson(const FaultEvent &e);
-Json toJson(const FaultConfig &c);
+/** The --dump-config document: every field, in field-list order. */
 Json toJson(const SimConfig &c);
 
-bool fromJson(const Json &j, ArrayGeometry &out, std::string *err,
-              const std::string &path = "geometry");
-bool fromJson(const Json &j, NocConfig &out, std::string *err,
-              const std::string &path = "noc");
-bool fromJson(const Json &j, DramConfig &out, std::string *err,
-              const std::string &path = "dram");
-bool fromJson(const Json &j, CacheConfig &out, std::string *err,
-              const std::string &path = "llc");
-bool fromJson(const Json &j, CoreConfig &out, std::string *err,
-              const std::string &path = "core");
-bool fromJson(const Json &j, SystemConfig &out, std::string *err,
-              const std::string &path = "system");
-bool fromJson(const Json &j, FaultEvent &out, std::string *err,
-              const std::string &path = "faults.events[]");
-bool fromJson(const Json &j, FaultConfig &out, std::string *err,
-              const std::string &path = "faults");
-bool fromJson(const Json &j, SimConfig &out, std::string *err);
+/** The `system` subtree alone (the timing-cache key, sim_cache.cc). */
+Json toJson(const SystemConfig &c);
 
 /**
- * Parse a config document from @p in and overlay it onto @p out.
- * @return false with a message in @p err on failure.
+ * Overlay document @p j onto @p out. Missing keys keep their
+ * values; an unknown key, a type mismatch or a value outside its
+ * field's range fails with a `path: expected ...` message in
+ * @p err. No cross-field checks: see validateConfig.
  */
-bool loadConfig(std::istream &in, SimConfig &out, std::string *err);
+bool overlayConfig(const Json &j, SimConfig &out, std::string *err);
 
-/** loadConfig from @p path; "-" reads stdin. */
-bool loadConfigFile(const std::string &path, SimConfig &out,
+/**
+ * Overlay a standalone FaultConfig document (the `--faults=FILE`
+ * payload) onto @p out, with paths rooted at "faults".
+ */
+bool overlayFaults(const Json &j, FaultConfig &out, std::string *err);
+
+/**
+ * Set the field at dotted @p path ("serving.chips") from
+ * command-line or environment @p text, through the same reader as
+ * a config file: text that parses as JSON is that value, anything
+ * else is a string (an enum spelling, or a type error). The error
+ * is a config file's `path: expected ...` with @p where (the flag
+ * or variable) in place of the path.
+ */
+bool setConfigField(SimConfig &out, const std::string &path,
+                    const std::string &text, const std::string &where,
                     std::string *err);
 
 /**
- * Load a standalone FaultConfig document (the `--faults=FILE`
- * payload) from @p path ("-" reads stdin) and overlay it onto
- * @p out. Structural validation only — the cross-field check
- * against the serving shape (chip range, DRAM channel count) is
- * validateFaultConfig, run by the caller once --chips and the
- * system tree are final. @return false with a message in @p err on
- * failure.
+ * The cross-field checks no single field can make — the fault
+ * schedule against the chip and DRAM-channel counts, the compute
+ * region inside the mesh, the NoC the size of the mesh, the core
+ * budget inside the compute region, the LLC shape — then copies
+ * `system` into
+ * `serving.system`. Run once, after the last overlay.
  */
-bool loadFaultsFile(const std::string &path, FaultConfig &out,
-                    std::string *err);
+bool validateConfig(SimConfig &cfg, std::string *err);
+
+/**
+ * Parse the JSON document in file @p path ("-" reads stdin);
+ * @p what names the file in the "cannot open" error.
+ */
+bool readJsonFile(const std::string &path, const char *what, Json &out,
+                  std::string *err);
 
 /** Pretty-print the full tree (the --dump-config output). */
 void dumpConfig(std::ostream &os, const SimConfig &cfg);
+
+/** One leaf field of the schema, as the field lists declare it. */
+struct ConfigField
+{
+    /** Dotted key; an array element's fields sit under "key[]". */
+    std::string path;
+
+    /** Bool, Int, Double, or String (an enum). */
+    Json::Type type = Json::Type::Null;
+
+    /** Accepted range, inclusive (numeric fields only). */
+    Json lo, hi;
+
+    /** The reader's message for a bad value: "expected ...". */
+    std::string expected;
+
+    /** Accepted spellings (enum fields only). */
+    std::vector<std::string> names;
+};
+
+/** Every leaf field of SimConfig, in dump order. */
+std::vector<ConfigField> configFields();
 
 } // namespace maicc
 

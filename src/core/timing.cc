@@ -15,7 +15,7 @@ using rv32::Op;
 
 CoreTimingModel::CoreTimingModel(const rv32::Program &program,
                                  NodeMemory &mem, CMem *cm,
-                                 RowPortIf *rows,
+                                 RowStore *rows,
                                  const CoreConfig &config)
     : SimComponent("core"), cfg(config), exec(program, mem, cm, rows),
       cmem(cm), sliceFree(cm ? cm->config().numSlices : 0, 0),

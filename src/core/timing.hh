@@ -55,7 +55,7 @@ class CoreTimingModel : public SimComponent
 {
   public:
     CoreTimingModel(const rv32::Program &program, NodeMemory &mem,
-                    CMem *cmem, RowPortIf *rows,
+                    CMem *cmem, RowStore *rows,
                     const CoreConfig &cfg);
 
     /** Run to ecall/ebreak; @return the cycle-level statistics. */

@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/types.hh"
 
 namespace maicc
@@ -62,43 +63,16 @@ enum class FaultKind
     NocDegrade,   ///< hop latency x `factor` over [cycle, until)
 };
 
-/**
- * Canonical spelling of @p k ("chip-fail-stop", "core-loss",
- * "dram-outage", "noc-degrade"). Inline so the config/CLI binding
- * in maicc_common can use it without linking maicc_fault.
- */
-inline const char *
-faultKindName(FaultKind k)
+/** Config spellings of FaultKind (common/enum_names.hh). */
+constexpr auto
+spellings(FaultKind)
 {
-    switch (k) {
-      case FaultKind::ChipFailStop:
-        return "chip-fail-stop";
-      case FaultKind::CoreLoss:
-        return "core-loss";
-      case FaultKind::DramOutage:
-        return "dram-outage";
-      case FaultKind::NocDegrade:
-        return "noc-degrade";
-    }
-    return "chip-fail-stop";
-}
-
-/** Parse a faultKindName spelling; false (out untouched) else. */
-inline bool
-parseFaultKind(const std::string &s, FaultKind &out)
-{
-    if (s == "chip-fail-stop") {
-        out = FaultKind::ChipFailStop;
-    } else if (s == "core-loss") {
-        out = FaultKind::CoreLoss;
-    } else if (s == "dram-outage") {
-        out = FaultKind::DramOutage;
-    } else if (s == "noc-degrade") {
-        out = FaultKind::NocDegrade;
-    } else {
-        return false;
-    }
-    return true;
+    return std::to_array<Spelling<FaultKind>>({
+        {FaultKind::ChipFailStop, "chip-fail-stop"},
+        {FaultKind::CoreLoss, "core-loss"},
+        {FaultKind::DramOutage, "dram-outage"},
+        {FaultKind::NocDegrade, "noc-degrade"},
+    });
 }
 
 /** One scheduled fault. Unused parameters stay at their defaults. */
@@ -178,7 +152,7 @@ validateFaultConfig(const FaultConfig &fc, unsigned chips,
         if (!windowed && e.until != 0) {
             return fail(at + ".until",
                         "not meaningful for permanent kind \""
-                            + std::string(faultKindName(e.kind))
+                            + std::string(enumName(e.kind))
                             + "\"");
         }
         if (windowed && e.until != 0 && e.until <= e.cycle) {
@@ -230,7 +204,7 @@ faultSignature(const FaultConfig &fc)
         + std::to_string(fc.rate) + ",window="
         + std::to_string(fc.window) + ';';
     for (const FaultEvent &e : fc.events) {
-        s += faultKindName(e.kind);
+        s += enumName(e.kind);
         s += ',';
         s += std::to_string(e.cycle) + ','
             + std::to_string(e.chip) + ','

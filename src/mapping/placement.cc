@@ -84,28 +84,6 @@ RegionAllocator::longestFreeRun() const
     return best;
 }
 
-std::vector<unsigned>
-RegionAllocator::allocate(unsigned count)
-{
-    std::vector<unsigned> slots = allocateContiguous(count);
-    if (!slots.empty() || count == 0 || count > _free)
-        return slots;
-    slots.reserve(count);
-
-    // Fragmented: fall back to the lowest free slots.
-    for (unsigned i = 0; i < _used.size() && slots.size() < count;
-         ++i) {
-        if (!_used[i])
-            slots.push_back(i);
-    }
-    maicc_assert(slots.size() == count);
-    for (unsigned s : slots) {
-        _used[s] = true;
-        --_free;
-    }
-    return slots;
-}
-
 void
 RegionAllocator::release(const std::vector<unsigned> &slots)
 {

@@ -93,13 +93,11 @@ std::string placementSignature(const SegmentPlacement &p);
  * lowest contiguous serpentine run (consecutive cores of a chain
  * stay physically adjacent, as in placeSegment).
  *
- * The serving admission path uses allocateContiguous() only: its
- * service-time profiles are keyed on (model, cores) and simulated
- * on a contiguous serpentine placement, so a chain scattered across
- * fragmentation seams would be served with a latency estimate that
- * does not match its real hop count. allocate() keeps the
- * lowest-free-slots fallback for callers that only need occupancy
- * accounting (and for modeling a scatter-tolerant allocator).
+ * Allocation is contiguous only: service-time profiles are keyed
+ * on (model, cores) and simulated on a contiguous serpentine
+ * placement, so a chain scattered across fragmentation seams would
+ * be served with a latency estimate that does not match its real
+ * hop count.
  */
 class RegionAllocator
 {
@@ -114,14 +112,6 @@ class RegionAllocator
     /** Slots permanently lost to core faults (see markDead). */
     unsigned deadNodes() const { return _dead_count; }
     bool dead(unsigned slot) const { return _dead.at(slot); }
-
-    /**
-     * Allocate @p count serpentine slots; the returned indices are
-     * sorted ascending. Empty when fewer than @p count are free
-     * (no partial allocation). Prefers the lowest contiguous run;
-     * falls back to the lowest free slots under fragmentation.
-     */
-    std::vector<unsigned> allocate(unsigned count);
 
     /**
      * Allocate the lowest *contiguous* run of @p count serpentine

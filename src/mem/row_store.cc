@@ -1,21 +1,7 @@
 #include "mem/row_store.hh"
 
-#include "common/logging.hh"
-
 namespace maicc
 {
-
-Row256
-NullRowPort::loadRow(Addr)
-{
-    maicc_panic("LoadRow.RC executed on a node with no row port");
-}
-
-void
-NullRowPort::storeRow(Addr, const Row256 &)
-{
-    maicc_panic("StoreRow.RC executed on a node with no row port");
-}
 
 Row256
 RowStore::loadRow(Addr addr)

@@ -1,11 +1,10 @@
 /**
  * @file
- * The row-granularity remote port LoadRow.RC / StoreRow.RC go
- * through, and a sparse store of 256-bit rows behind it. Single-node
- * simulations use the store as the stand-in for "transposed ifmap
- * vectors staged in DRAM / delivered by a neighbour node":
- * LoadRow.RC fetches rows from here and StoreRow.RC deposits rows
- * here.
+ * The sparse store of 256-bit rows that LoadRow.RC / StoreRow.RC
+ * go through. Single-node simulations use it as the stand-in for
+ * "transposed ifmap vectors staged in DRAM / delivered by a
+ * neighbour node": LoadRow.RC fetches rows from here and
+ * StoreRow.RC deposits rows here.
  */
 
 #ifndef MAICC_MEM_ROW_STORE_HH
@@ -19,29 +18,12 @@
 namespace maicc
 {
 
-/** Row-granularity remote port for LoadRow.RC / StoreRow.RC. */
-class RowPortIf
+/** Sparse Addr -> Row256 map behind LoadRow.RC / StoreRow.RC. */
+class RowStore
 {
   public:
-    virtual ~RowPortIf() = default;
-    virtual Row256 loadRow(Addr remote_addr) = 0;
-    virtual void storeRow(Addr remote_addr, const Row256 &row) = 0;
-};
-
-/** A RowPortIf that rejects every access (nodes with no NoC). */
-class NullRowPort : public RowPortIf
-{
-  public:
-    Row256 loadRow(Addr) override;
-    void storeRow(Addr, const Row256 &) override;
-};
-
-/** Sparse Addr -> Row256 map implementing RowPortIf. */
-class RowStore : public RowPortIf
-{
-  public:
-    Row256 loadRow(Addr addr) override;
-    void storeRow(Addr addr, const Row256 &row) override;
+    Row256 loadRow(Addr addr);
+    void storeRow(Addr addr, const Row256 &row);
 
     /** Number of distinct rows present. */
     size_t size() const { return rows.size(); }

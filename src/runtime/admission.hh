@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hh"
 #include "common/types.hh"
 
 namespace maicc
@@ -67,39 +68,15 @@ enum class SchedPolicy
     Priority, ///< lowest priority class first, FIFO within a class
 };
 
-/**
- * Canonical flag spelling of @p p ("fifo", "sjf", "priority").
- * Inline so the config/CLI binding in maicc_common can use it
- * without linking against maicc_runtime.
- */
-inline const char *
-policyName(SchedPolicy p)
+/** Flag and config spellings (`--policy=`, common/enum_names.hh). */
+constexpr auto
+spellings(SchedPolicy)
 {
-    switch (p) {
-      case SchedPolicy::Fifo:
-        return "fifo";
-      case SchedPolicy::Sjf:
-        return "sjf";
-      case SchedPolicy::Priority:
-        return "priority";
-    }
-    return "fifo";
-}
-
-/** Parse a policyName spelling; false (out untouched) otherwise. */
-inline bool
-parsePolicy(const std::string &s, SchedPolicy &out)
-{
-    if (s == "fifo") {
-        out = SchedPolicy::Fifo;
-    } else if (s == "sjf") {
-        out = SchedPolicy::Sjf;
-    } else if (s == "priority") {
-        out = SchedPolicy::Priority;
-    } else {
-        return false;
-    }
-    return true;
+    return std::to_array<Spelling<SchedPolicy>>({
+        {SchedPolicy::Fifo, "fifo"},
+        {SchedPolicy::Sjf, "sjf"},
+        {SchedPolicy::Priority, "priority"},
+    });
 }
 
 /**
@@ -119,40 +96,15 @@ enum class ShardPolicy
     ModelAffinity, ///< prefer shards that served the model before
 };
 
-/**
- * Canonical flag spelling of @p p ("round-robin", "least-loaded",
- * "model-affinity"). Inline for the same reason as policyName: the
- * config/CLI binding in maicc_common uses it without linking
- * against maicc_runtime.
- */
-inline const char *
-shardPolicyName(ShardPolicy p)
+/** Flag and config spellings (`--shard-policy=`). */
+constexpr auto
+spellings(ShardPolicy)
 {
-    switch (p) {
-      case ShardPolicy::RoundRobin:
-        return "round-robin";
-      case ShardPolicy::LeastLoaded:
-        return "least-loaded";
-      case ShardPolicy::ModelAffinity:
-        return "model-affinity";
-    }
-    return "round-robin";
-}
-
-/** Parse a shardPolicyName spelling; false (out untouched) else. */
-inline bool
-parseShardPolicy(const std::string &s, ShardPolicy &out)
-{
-    if (s == "round-robin") {
-        out = ShardPolicy::RoundRobin;
-    } else if (s == "least-loaded") {
-        out = ShardPolicy::LeastLoaded;
-    } else if (s == "model-affinity") {
-        out = ShardPolicy::ModelAffinity;
-    } else {
-        return false;
-    }
-    return true;
+    return std::to_array<Spelling<ShardPolicy>>({
+        {ShardPolicy::RoundRobin, "round-robin"},
+        {ShardPolicy::LeastLoaded, "least-loaded"},
+        {ShardPolicy::ModelAffinity, "model-affinity"},
+    });
 }
 
 /**

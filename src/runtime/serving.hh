@@ -57,6 +57,16 @@ enum class ArrivalProcess
     Trace,   ///< explicit (cycle, model) pairs from a trace file
 };
 
+/** Config spellings of ArrivalProcess (common/enum_names.hh). */
+constexpr auto
+spellings(ArrivalProcess)
+{
+    return std::to_array<Spelling<ArrivalProcess>>({
+        {ArrivalProcess::Poisson, "poisson"},
+        {ArrivalProcess::Trace, "trace"},
+    });
+}
+
 /** One model registered with the serving simulator. */
 struct ServedModel
 {

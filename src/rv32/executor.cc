@@ -9,7 +9,7 @@ namespace rv32
 {
 
 Executor::Executor(const Program &program, NodeMemory &memory,
-                   CMem *cm, RowPortIf *row_port)
+                   CMem *cm, RowStore *row_port)
     : prog(program), mem(memory), cmem(cm), rows(row_port)
 {
 }

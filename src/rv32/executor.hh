@@ -42,7 +42,7 @@ class Executor
 {
   public:
     Executor(const Program &program, NodeMemory &mem,
-             CMem *cmem = nullptr, RowPortIf *rows = nullptr);
+             CMem *cmem = nullptr, RowStore *rows = nullptr);
 
     /** Execute one instruction; no-op once halted. */
     void
@@ -100,7 +100,7 @@ class Executor
     const Program &prog;
     NodeMemory &mem;
     CMem *cmem;
-    RowPortIf *rows;
+    RowStore *rows;
 
     std::array<uint32_t, 32> regs{};
     Addr _pc = 0;

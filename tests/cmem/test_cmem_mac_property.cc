@@ -67,8 +67,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 4u, 8u, 16u),
                        ::testing::Bool()),
     [](const auto &info) {
-        return "n" + std::to_string(std::get<0>(info.param))
-            + (std::get<1>(info.param) ? "_signed" : "_unsigned");
+        std::string name = "n";
+        name += std::to_string(std::get<0>(info.param));
+        name += std::get<1>(info.param) ? "_signed" : "_unsigned";
+        return name;
     });
 
 class MacMaskProperty : public ::testing::TestWithParam<uint8_t>

@@ -182,7 +182,14 @@ TEST(MappingProperties, AllocFreeRoundTripsLeakNoCores)
                     continue;
                 Grant g;
                 g.cores = want;
-                g.slots = region.allocate(want);
+                g.slots = region.allocateContiguous(want);
+                if (g.slots.empty()) {
+                    // Fragmented: the admission path hands the
+                    // ledger grant back, as the serving loop does.
+                    EXPECT_LT(region.longestFreeRun(), want);
+                    ledger.release(want);
+                    continue;
+                }
                 ASSERT_EQ(g.slots.size(), want);
                 // Slots are distinct and freshly allocated.
                 std::set<unsigned> fresh(g.slots.begin(),
@@ -221,28 +228,23 @@ TEST(MappingProperties, AllocFreeRoundTripsLeakNoCores)
 TEST(MappingProperties, RegionAllocatorPrefersContiguousRuns)
 {
     // On an empty region an allocation is one contiguous
-    // serpentine run; after fragmentation it still returns exactly
-    // the requested count.
+    // serpentine run; after fragmentation the lowest hole that fits
+    // is reused.
     RegionAllocator region;
-    auto a = region.allocate(10);
+    auto a = region.allocateContiguous(10);
     ASSERT_EQ(a.size(), 10u);
     for (size_t i = 1; i < a.size(); ++i)
         EXPECT_EQ(a[i], a[i - 1] + 1);
 
-    auto b = region.allocate(10);
+    auto b = region.allocateContiguous(10);
     region.release(a); // hole of 10 before b
-    auto c = region.allocate(6); // fits in the hole, contiguously
+    auto c = region.allocateContiguous(6); // fits in the hole
     ASSERT_EQ(c.size(), 6u);
     EXPECT_EQ(c.front(), 0u);
     for (size_t i = 1; i < c.size(); ++i)
         EXPECT_EQ(c[i], c[i - 1] + 1);
-
-    // Larger than any hole-free prefix run: falls back to the
-    // lowest free slots across the seam.
-    auto d = region.allocate(region.freeNodes());
-    EXPECT_EQ(d.size() + b.size() + c.size(),
+    EXPECT_EQ(region.freeNodes() + b.size() + c.size(),
               region.totalNodes());
-    EXPECT_EQ(region.freeNodes(), 0u);
 }
 
 TEST(MappingProperties, AllocateContiguousRefusesFragmentedFits)
@@ -253,10 +255,10 @@ TEST(MappingProperties, AllocateContiguousRefusesFragmentedFits)
     // case where scattering a node-group chain across seams would
     // invalidate its contiguously-profiled service time.
     RegionAllocator region;
-    auto a = region.allocate(4);                 // [0..3]
-    auto b = region.allocate(4);                 // [4..7]
-    auto c = region.allocate(4);                 // [8..11]
-    region.allocate(region.freeNodes());
+    auto a = region.allocateContiguous(4);       // [0..3]
+    auto b = region.allocateContiguous(4);       // [4..7]
+    auto c = region.allocateContiguous(4);       // [8..11]
+    region.allocateContiguous(region.freeNodes());
     ASSERT_EQ(region.freeNodes(), 0u);
     region.release(a);
     region.release(c); // two free runs of 4, 8 free in total
@@ -267,12 +269,6 @@ TEST(MappingProperties, AllocateContiguousRefusesFragmentedFits)
     EXPECT_TRUE(region.allocateContiguous(6).empty());
     EXPECT_EQ(region.freeNodes(), 8u);
     EXPECT_EQ(region.longestFreeRun(), 4u);
-
-    // The scatter-tolerant allocate() still succeeds on the same
-    // region (occupancy-only callers keep the old behavior).
-    auto scattered = region.allocate(6);
-    EXPECT_EQ(scattered.size(), 6u);
-    region.release(scattered);
 
     // A fitting run is carved at the lowest position...
     auto low = region.allocateContiguous(4);

@@ -121,7 +121,7 @@ TEST(Cluster, MultiChipBitwiseDeterministicAcrossThreadsAndCache)
                                     ShardPolicy::LeastLoaded,
                                     ShardPolicy::ModelAffinity};
     for (ShardPolicy policy : policies) {
-        SCOPED_TRACE(shardPolicyName(policy));
+        SCOPED_TRACE(enumName(policy));
         ServingConfig cfg = baseConfig();
         cfg.chips = 3;
         cfg.shardPolicy = policy;
@@ -319,7 +319,7 @@ TEST(Cluster, RandomizedCrossShardConservation)
             for (ShardPolicy policy : policies) {
                 SCOPED_TRACE(::testing::Message()
                              << chips << " chips, "
-                             << shardPolicyName(policy));
+                             << enumName(policy));
                 ServingConfig cfg = baseConfig();
                 cfg.seed = seed;
                 cfg.offeredRequests = 20;

@@ -725,7 +725,7 @@ TEST(ServingPolicies, ModelCandidatesMatchWholeQueueScan)
         std::vector<QueueCandidate> cands =
             candidatesOf(queue, n_models);
         for (auto [kind, backfill] : variants) {
-            SCOPED_TRACE(std::string(policyName(kind))
+            SCOPED_TRACE(std::string(enumName(kind))
                          + (backfill ? "+backfill" : "") + " trial "
                          + std::to_string(trial));
             uint64_t want =
